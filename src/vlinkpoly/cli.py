@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable
 
 from .diagram import (
     DiagramError,
@@ -41,12 +42,25 @@ __all__ = ["main"]
 DEFAULT_MAX_STATES = 1 << 24
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than `low` (else exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
 def _add_input_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("path", nargs="?", help="input file, or - for stdin")
     sub.add_argument("--code", help="inline input; ';' separates lines")
     sub.add_argument(
         "--max-states",
-        type=int,
+        type=_int_at_least(1),
         default=DEFAULT_MAX_STATES,
         metavar="N",
         help="enumeration cap as a state/subgraph count (default 2^24)",
@@ -66,7 +80,7 @@ def _load_text(args: argparse.Namespace) -> str:
 
 def _cap(args: argparse.Namespace) -> int:
     # --max-states counts states (2^n); the library caps n itself.
-    return max(0, args.max_states.bit_length() - 1)
+    return args.max_states.bit_length() - 1
 
 
 def cmd_bracket(args: argparse.Namespace) -> int:
@@ -140,20 +154,20 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     diagram = parse_diagram(_load_text(args))
     report = verify_identity(diagram, _cap(args))
-    if report.equal and all(row.term_ok for row in report.per_state):
+    if report.equal and not report.per_state.mismatches:
         print("OK")
         return 0
     print("MISMATCH")
     print(f"bracket:     {print_poly(report.lhs)}")
     print(f"transformed: {print_poly(report.rhs)}")
-    for row in report.per_state:
-        if not row.term_ok:
-            st = row.stats
-            print(
-                f"state {row.state.word}: alpha={row.state.alpha} beta={row.state.beta} "
-                f"delta={row.delta} vs subgraph {{{_format_edge_set(row.included)}}}: "
-                f"e={st.e} 2s={st.s_twice} bc={st.bc}"
-            )
+    for index in report.per_state.mismatches:
+        row = report.per_state[index]
+        st = row.stats
+        print(
+            f"state {row.state.word}: alpha={row.state.alpha} beta={row.state.beta} "
+            f"delta={row.delta} vs subgraph {{{_format_edge_set(row.included)}}}: "
+            f"e={st.e} 2s={st.s_twice} bc={st.bc}"
+        )
     return 1
 
 
@@ -161,7 +175,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     failures = 0
     for i, diagram in enumerate(random_diagrams(args.count, args.max_crossings, args.seed)):
         report = verify_identity(diagram)
-        if report.equal and all(row.term_ok for row in report.per_state):
+        if report.equal and not report.per_state.mismatches:
             continue
         failures += 1
         print(f"FAIL diagram {i} ({diagram.n} crossings):")
@@ -205,8 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("fuzz", help="verify the identity on random diagrams")
-    p.add_argument("--count", type=int, default=100, metavar="N")
-    p.add_argument("--max-crossings", type=int, default=10, metavar="M")
+    p.add_argument("--count", type=_int_at_least(0), default=100, metavar="N")
+    p.add_argument("--max-crossings", type=_int_at_least(1), default=10, metavar="M")
     p.add_argument("--seed", type=int, default=0, metavar="S")
     p.set_defaults(func=cmd_fuzz)
 
@@ -221,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DiagramError, RibbonError, PolyParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EnumerationCapError as exc:

@@ -40,6 +40,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .polyring import LaurentPoly, Ring, substitute
+from .walk import RollbackUnionFind, walk
 
 __all__ = [
     "BRACKET_RING",
@@ -139,14 +140,14 @@ class VirtualLinkDiagram:
     Validation runs at construction: arc census (every id exactly twice)
     and global direction inference. The inferred data is cached on the
     instance: `over_in_slots[i]` is 1 or 3, the slot where the over-strand
-    enters crossing i, and `arc_heads[a]` is the (crossing, slot)
-    occurrence where arc a points into the crossing.
+    enters crossing i, and `_occurrences[a]` lists the two (crossing, slot)
+    places of arc a.
     """
 
     crossings: tuple[CrossingCode, ...]
     free_loops: int = 0
     over_in_slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    arc_heads: dict[int, tuple[int, int]] = field(init=False, repr=False, compare=False)
+    _occurrences: dict[int, list[tuple[int, int]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         crossings = tuple(self.crossings)
@@ -170,7 +171,7 @@ class VirtualLinkDiagram:
         # crossing there. Under slots are forced; the rest propagates via
         # (a) an arc's two occurrences have opposite values and (b) the two
         # over-slots of one crossing have opposite values.
-        occurrences: dict[int, list[tuple[int, int]]] = getattr(self, "_occurrences")
+        occurrences = self._occurrences
         incoming: dict[tuple[int, int], bool] = {}
         stack: list[tuple[int, int]] = []
 
@@ -212,14 +213,8 @@ class VirtualLinkDiagram:
                 break
             push(seed, True)
 
-        over_in = []
-        for ci in range(len(self.crossings)):
-            over_in.append(1 if incoming[(ci, 1)] else 3)
-        heads: dict[int, tuple[int, int]] = {}
-        for arc, places in occurrences.items():
-            heads[arc] = places[0] if incoming[places[0]] else places[1]
-        object.__setattr__(self, "over_in_slots", tuple(over_in))
-        object.__setattr__(self, "arc_heads", heads)
+        over_in = tuple(1 if incoming[(ci, 1)] else 3 for ci in range(len(self.crossings)))
+        object.__setattr__(self, "over_in_slots", over_in)
 
     @property
     def n(self) -> int:
@@ -245,38 +240,39 @@ def split_circles(diagram: VirtualLinkDiagram, state: State) -> int:
 
     Union-find over the 4n slot ends: arcs glue their two occurrences;
     the A-splitting glues slot ends (s0,s1) and (s2,s3), the B-splitting
-    (s0,s3) and (s1,s2). Each free loop adds one curve.
+    (s0,s3) and (s1,s2). Each free loop adds one curve. This is the
+    per-state reference; the state sums walk `_splice_links` instead.
     """
     n = len(diagram.crossings)
     if len(state.letters) != n:
         raise DiagramError(f"state has {len(state.letters)} letters for {n} crossings")
-    parent = list(range(4 * n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    occurrences: dict[int, list[tuple[int, int]]] = getattr(diagram, "_occurrences")
-    for places in occurrences.values():
-        (c1, s1), (c2, s2) = places
-        union(4 * c1 + s1, 4 * c2 + s2)
+    uf = RollbackUnionFind(4 * n)
+    for (c1, s1), (c2, s2) in diagram._occurrences.values():
+        uf.union(4 * c1 + s1, 4 * c2 + s2)
     for ci, letter in enumerate(state.letters):
         base = 4 * ci
         if letter == "A":
-            union(base + 0, base + 1)
-            union(base + 2, base + 3)
+            uf.union(base + 0, base + 1)
+            uf.union(base + 2, base + 3)
         else:
-            union(base + 0, base + 3)
-            union(base + 1, base + 2)
-    roots = {find(x) for x in range(4 * n)}
-    return len(roots) + diagram.free_loops
+            uf.union(base + 0, base + 3)
+            uf.union(base + 1, base + 2)
+    return uf.counts[0] + diagram.free_loops
+
+
+def _splice_links(diagram: VirtualLinkDiagram) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
+    """Per crossing, the arc links of its A-splitting and of its B-splitting.
+
+    An arc joins its two slot ends, so the curves of a state are the
+    components of the 2n arcs (numbered from 0 in id order) under these
+    links: (s0,s1), (s2,s3) for A and (s0,s3), (s1,s2) for B.
+    """
+    arc = {a: i for i, a in enumerate(sorted(diagram._occurrences))}
+    links = []
+    for c in diagram.crossings:
+        s0, s1, s2, s3 = (arc[a] for a in c.slots)
+        links.append((((s0, s1), (s2, s3)), ((s0, s3), (s1, s2))))
+    return links
 
 
 def enumerate_states(diagram: VirtualLinkDiagram) -> Iterator[State]:
@@ -289,17 +285,30 @@ def enumerate_states(diagram: VirtualLinkDiagram) -> Iterator[State]:
 def bracket_partial(diagram: VirtualLinkDiagram, start: int, stop: int) -> LaurentPoly:
     """Bracket contribution of state indices in [start, stop).
 
-    Summing the partials of any partition of [0, 2^n) reproduces
-    kauffman_bracket exactly, term for term; the enumeration may therefore
-    be split across workers with a deterministic merge.
+    One depth-first walk over the crossings (crossing i is bit n-1-i of
+    the index) keeps the arc union-find of the current state prefix, so a
+    state costs a few unions instead of a rebuild. Summing the partials of
+    any partition of [0, 2^n) reproduces kauffman_bracket exactly, term
+    for term; the enumeration may therefore be split across workers with a
+    deterministic merge.
     """
-    n = len(diagram.crossings)
-    acc: dict[tuple[int, int, int], int] = {}
-    for index in range(start, stop):
-        state = State.from_index(n, index)
-        key = (state.alpha, state.beta, split_circles(diagram, state) - 1)
+    uf = RollbackUnionFind(2 * len(diagram.crossings))
+    counts = uf.counts
+    acc: dict[tuple[int, int], int] = {}
+    for index in walk(uf, _splice_links(diagram), start, stop):
+        key = (index.bit_count(), counts[0])
         acc[key] = acc.get(key, 0) + 1
-    return BRACKET_RING.from_terms(acc.items())
+    return _bracket_from_counts(diagram, acc)
+
+
+def _bracket_from_counts(
+    diagram: VirtualLinkDiagram, acc: dict[tuple[int, int], int]
+) -> LaurentPoly:
+    """The bracket terms of {(beta, arc components): number of states}."""
+    n, loops = len(diagram.crossings), diagram.free_loops
+    return BRACKET_RING.from_terms(
+        ((n - beta, beta, arcs + loops - 1), count) for (beta, arcs), count in acc.items()
+    )
 
 
 def kauffman_bracket(

@@ -32,11 +32,12 @@ Moebius band (bc = 1).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagram import EnumerationCapError, VirtualLinkDiagram
 from .polyring import LaurentPoly, Ring
+from .walk import RollbackUnionFind, walk
 
 __all__ = [
     "BR_RING",
@@ -99,6 +100,7 @@ class RibbonGraph:
 
     rotations: tuple[tuple[int, ...], ...]
     edges: tuple[Edge, ...]
+    _vertex_of: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rotations = tuple(tuple(rot) for rot in self.rotations)
@@ -136,7 +138,7 @@ class RibbonGraph:
         return len(self.edges)
 
     def vertex_of(self, half: int) -> int:
-        return getattr(self, "_vertex_of")[half]
+        return self._vertex_of[half]
 
 
 @dataclass(frozen=True)
@@ -175,20 +177,11 @@ class SubgraphStats:
 def components(sub: SpanningSubgraph) -> int:
     """k(F): connected components of the vertex / included-edge structure."""
     g = sub.parent
-    parent = list(range(g.v))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = RollbackUnionFind(g.v)
     for i in sub.included:
         e = g.edges[i]
-        ra, rb = find(g.vertex_of(e.a)), find(g.vertex_of(e.b))
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(x) for x in range(g.v)})
+        uf.union(g.vertex_of(e.a), g.vertex_of(e.b))
+    return uf.counts[0]
 
 
 def boundary_components(sub: SpanningSubgraph) -> int:
@@ -197,7 +190,8 @@ def boundary_components(sub: SpanningSubgraph) -> int:
     Implements the strand-end tracing described in the module docstring:
     ports (h, side) with side 0 = in, 1 = out; every port receives exactly
     one vertex link and one edge link, so the links decompose into disjoint
-    cycles, one per boundary circle.
+    cycles, one per boundary circle. This is the per-subgraph reference;
+    the subgraph sums walk `_band_links` instead.
     """
     g = sub.parent
     halves: set[int] = set()
@@ -209,18 +203,10 @@ def boundary_components(sub: SpanningSubgraph) -> int:
     for h in sorted(halves):
         for side in (0, 1):
             port_ids[(h, side)] = len(port_ids)
-    parent = list(range(len(port_ids)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    uf = RollbackUnionFind(len(port_ids))
 
     def link(p: tuple[int, int], q: tuple[int, int]) -> None:
-        rp, rq = find(port_ids[p]), find(port_ids[q])
-        if rp != rq:
-            parent[rp] = rq
+        uf.union(port_ids[p], port_ids[q])
 
     free_discs = 0
     for rot in g.rotations:
@@ -239,24 +225,56 @@ def boundary_components(sub: SpanningSubgraph) -> int:
         else:
             link((e.a, 0), (e.b, 1))
             link((e.b, 0), (e.a, 1))
-    cycles = len({find(x) for x in range(len(port_ids))})
-    return cycles + free_discs
+    return uf.counts[0] + free_discs
+
+
+def _subgraph_stats(
+    v: int, e: int, k: int, bc: int, e_minus: int, e_minus_total: int
+) -> SubgraphStats:
+    """The statistics of a subgraph from its counts; G has e_minus_total negative edges."""
+    r = v - k
+    return SubgraphStats(v, e, k, r, e - r, bc, e_minus, 2 * e_minus - e_minus_total)
 
 
 def stats(sub: SpanningSubgraph) -> SubgraphStats:
     """All statistics of one spanning subgraph, exactly."""
     g = sub.parent
-    v = g.v
-    e = len(sub.included)
-    k = components(sub)
-    r = v - k
-    n = e - r
-    bc = boundary_components(sub)
     e_minus = sum(1 for i in sub.included if g.edges[i].sign == -1)
-    e_minus_complement = sum(
-        1 for i in range(g.e) if i not in sub.included and g.edges[i].sign == -1
+    e_minus_total = sum(1 for edge in g.edges if edge.sign == -1)
+    return _subgraph_stats(
+        g.v, len(sub.included), components(sub), boundary_components(sub), e_minus, e_minus_total
     )
-    return SubgraphStats(v, e, k, r, n, bc, e_minus, e_minus - e_minus_complement)
+
+
+def _band_links(
+    g: RibbonGraph, base: int = 0
+) -> tuple[list[tuple[int, int]], list[tuple[tuple[tuple[int, int], ...], ...]]]:
+    """The port model of bc(F) and k(F) as union-find links.
+
+    Every half-edge h has two ports, in and out, numbered from `base` in
+    half-edge id order; the v vertices follow the ports. The fixed links
+    join (h_j, out) to (h_j+1, in) around each rotation. An excluded edge
+    links each of its half-edges' own in and out ports, so the boundary
+    runs past it; an included edge links its band, in-in and out-out if
+    twisted, in-out crosswise if not, and joins its two vertices. Then
+    bc(F) is the port component count plus the number of empty-rotation
+    vertices, and k(F) is the vertex component count. Returns the fixed
+    links and, per edge, (links if excluded, links if included).
+    """
+    port = {h: base + 2 * j for j, h in enumerate(sorted(g._vertex_of))}
+    vertex_base = base + 2 * len(port)
+    fixed = [
+        (port[rot[j]] + 1, port[rot[(j + 1) % len(rot)]])
+        for rot in g.rotations
+        for j in range(len(rot))
+    ]
+    choices = []
+    for e in g.edges:
+        a, b = port[e.a], port[e.b]
+        band = ((a, b), (a + 1, b + 1)) if e.twisted else ((a, b + 1), (b, a + 1))
+        join = (vertex_base + g.vertex_of(e.a), vertex_base + g.vertex_of(e.b))
+        choices.append((((a, a + 1), (b, b + 1)), band + (join,)))
+    return fixed, choices
 
 
 def orientable(sub: SpanningSubgraph) -> bool:
@@ -296,21 +314,36 @@ def orientable(sub: SpanningSubgraph) -> bool:
 def brpoly_partial(g: RibbonGraph, start: int, stop: int) -> LaurentPoly:
     """Bollobas-Riordan contribution of subgraph bitmasks in [start, stop).
 
-    Bit i of a mask includes edge i. Merging the partials of any partition
-    of [0, 2^e) reproduces bollobas_riordan exactly.
+    Bit i of a mask includes edge i. One depth-first walk over the edges,
+    from edge e-1 (the top bit) down to edge 0, keeps the port and vertex
+    union-finds of the current mask prefix (see `_band_links`). Merging
+    the partials of any partition of [0, 2^e) reproduces bollobas_riordan
+    exactly.
     """
-    r_g = g.v - components(SpanningSubgraph(g, frozenset(range(g.e))))
-    acc: dict[tuple[int, int, int], int] = {}
-    for mask in range(start, stop):
-        included = frozenset(i for i in range(g.e) if (mask >> i) & 1)
-        st = stats(SpanningSubgraph(g, included))
-        key = (
-            2 * (r_g - st.r) + st.s_twice,
-            2 * st.n - st.s_twice,
-            st.k - st.bc + st.n,
-        )
+    fixed, choices = _band_links(g)
+    uf = RollbackUnionFind(4 * g.e, g.v)
+    for x, y in fixed:
+        uf.union(x, y)
+    counts = uf.counts
+    negative = sum(1 << i for i, edge in enumerate(g.edges) if edge.sign == -1)
+    acc: dict[tuple[int, int, int, int], int] = {}
+    for mask in walk(uf, choices[::-1], start, stop):
+        key = (mask.bit_count(), (mask & negative).bit_count(), counts[1], counts[0])
         acc[key] = acc.get(key, 0) + 1
-    return BR_RING.from_terms(acc.items())
+    return _brpoly_from_counts(g, acc)
+
+
+def _brpoly_from_counts(g: RibbonGraph, acc: dict[tuple[int, int, int, int], int]) -> LaurentPoly:
+    """The BR terms of {(e(F), e_minus(F), k(F), port components): number of subgraphs}."""
+    rank_g = g.v - components(SpanningSubgraph(g, frozenset(range(g.e))))
+    free_discs = sum(1 for rot in g.rotations if not rot)
+    e_minus_total = sum(1 for edge in g.edges if edge.sign == -1)
+    terms = []
+    for (e, e_minus, k, ports), count in acc.items():
+        st = _subgraph_stats(g.v, e, k, ports + free_discs, e_minus, e_minus_total)
+        key = (2 * (rank_g - st.r) + st.s_twice, 2 * st.n - st.s_twice, st.k - st.bc + st.n)
+        terms.append((key, count))
+    return BR_RING.from_terms(terms)
 
 
 def bollobas_riordan(g: RibbonGraph, max_edges: int = DEFAULT_MAX_EDGES) -> LaurentPoly:

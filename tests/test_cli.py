@@ -130,3 +130,26 @@ class TestExitCodes:
     def test_cap_applies_to_ribbon_enumeration(self, capsys: pytest.CaptureFixture[str]) -> None:
         code, _, err = run(capsys, "brpoly", KNOT3, "--max-states", "4")
         assert code == 3 and "cap" in err
+
+    def test_non_utf8_file(self, capsys: pytest.CaptureFixture[str], tmp_path: Path) -> None:
+        bad = tmp_path / "bad.vld"
+        bad.write_bytes(b"X 1 1 2 2\xff\n")
+        code, _, err = run(capsys, "bracket", str(bad))
+        assert code == 2 and "utf-8" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bracket", KNOT3, "--max-states", "0"),
+            ("bracket", KNOT3, "--max-states", "-5"),
+            ("fuzz", "--max-crossings", "0"),
+            ("fuzz", "--count", "-3"),
+        ],
+    )
+    def test_out_of_range_numbers_are_usage_errors(
+        self, capsys: pytest.CaptureFixture[str], argv: tuple[str, ...]
+    ) -> None:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err

@@ -7,124 +7,12 @@ verification that the bracket equals the transformed Bollobas-Riordan
 polynomial of the Seifert-circle graph. All arithmetic is exact.
 """
 
-from .polyring import (
-    LaurentPoly,
-    Monomial,
-    PolyParseError,
-    Ring,
-    SubstitutionError,
-    parse_poly,
-    print_poly,
-    substitute,
-)
-from .diagram import (
-    BRACKET_RING,
-    JONES_RING,
-    DEFAULT_MAX_CROSSINGS,
-    CrossingCode,
-    DiagramError,
-    EnumerationCapError,
-    State,
-    VirtualLinkDiagram,
-    bracket_partial,
-    enumerate_states,
-    jones,
-    kauffman_bracket,
-    parse_diagram,
-    print_diagram,
-    seifert_state,
-    sign,
-    split_circles,
-    writhe,
-)
-from .ribbon import (
-    BR_RING,
-    TUTTE_RING,
-    DEFAULT_MAX_EDGES,
-    Edge,
-    RibbonError,
-    RibbonGraph,
-    SpanningSubgraph,
-    SubgraphStats,
-    bollobas_riordan,
-    boundary_components,
-    brpoly_partial,
-    components,
-    from_diagram,
-    orientable,
-    parse_ribbon,
-    print_ribbon,
-    random_ribbon_graph,
-    stats,
-    tutte,
-)
-from .thistle import (
-    PerStateRow,
-    PerStateRows,
-    VerificationReport,
-    check_counting_identities,
-    random_diagram,
-    random_diagrams,
-    state_subgraph_rows,
-    state_to_subgraph,
-    verify_identity,
-)
+from . import diagram, polyring, ribbon, thistle
+from .polyring import *
+from .diagram import *
+from .ribbon import *
+from .thistle import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BRACKET_RING",
-    "BR_RING",
-    "CrossingCode",
-    "DEFAULT_MAX_CROSSINGS",
-    "DEFAULT_MAX_EDGES",
-    "DiagramError",
-    "Edge",
-    "EnumerationCapError",
-    "JONES_RING",
-    "LaurentPoly",
-    "Monomial",
-    "PerStateRow",
-    "PerStateRows",
-    "PolyParseError",
-    "RibbonError",
-    "RibbonGraph",
-    "Ring",
-    "SpanningSubgraph",
-    "State",
-    "SubgraphStats",
-    "SubstitutionError",
-    "TUTTE_RING",
-    "VerificationReport",
-    "VirtualLinkDiagram",
-    "bollobas_riordan",
-    "boundary_components",
-    "bracket_partial",
-    "brpoly_partial",
-    "check_counting_identities",
-    "components",
-    "enumerate_states",
-    "from_diagram",
-    "jones",
-    "kauffman_bracket",
-    "orientable",
-    "parse_diagram",
-    "parse_poly",
-    "parse_ribbon",
-    "print_diagram",
-    "print_poly",
-    "print_ribbon",
-    "random_diagram",
-    "random_diagrams",
-    "random_ribbon_graph",
-    "seifert_state",
-    "sign",
-    "split_circles",
-    "state_subgraph_rows",
-    "state_to_subgraph",
-    "stats",
-    "substitute",
-    "tutte",
-    "verify_identity",
-    "writhe",
-]
+__all__ = polyring.__all__ + diagram.__all__ + ribbon.__all__ + thistle.__all__

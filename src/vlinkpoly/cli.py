@@ -9,14 +9,23 @@ Subcommands:
   table FILE      per-state table: splitting word, (alpha, beta, delta),
                   image subgraph edge set, (k, r, n, bc, s)
   verify FILE     check the bracket / Bollobas-Riordan identity
-  fuzz            verify the identity on random diagrams
+  fuzz            verify the identity on --count random diagrams of 1 to
+                  --max-crossings crossings
 
 FILE is a diagram in the .vld format (or a ribbon graph in the .rg format
 for brpoly --graph); pass - to read stdin, or give the lines inline with
 --code, using ';' as a line separator.
 
+verify prints OK, or a MISMATCH block: the bracket, the transformed
+Bollobas-Riordan polynomial, and one line per state whose terms differ.
+fuzz prints, for each failing diagram, its index, its code and the same
+MISMATCH block, then the count of diagrams verified. Its --max-crossings
+runs from 1 to the library's crossing cap, DEFAULT_MAX_CROSSINGS, so fuzz
+never hits the enumeration cap.
+
 Exit codes: 0 success; 1 verify mismatch or fuzz failure; 2 parse or
-validation error; 3 enumeration cap exceeded (raise --max-states).
+validation error, or an option out of range; 3 enumeration cap exceeded
+(raise --max-states).
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ import sys
 from typing import Callable
 
 from .diagram import (
+    DEFAULT_MAX_CROSSINGS,
     DiagramError,
     EnumerationCapError,
     jones,
@@ -35,20 +45,22 @@ from .diagram import (
 )
 from .polyring import PolyParseError, print_poly
 from .ribbon import RibbonError, bollobas_riordan, from_diagram, parse_ribbon, print_ribbon
-from .thistle import random_diagrams, state_subgraph_rows, verify_identity
+from .thistle import VerificationReport, random_diagrams, verify_identity
 
 __all__ = ["main"]
 
-DEFAULT_MAX_STATES = 1 << 24
+DEFAULT_MAX_STATES = 1 << DEFAULT_MAX_CROSSINGS
 
 
-def _int_at_least(low: int) -> Callable[[str], int]:
-    """An argparse type: an integer no smaller than `low` (else exit 2)."""
+def _int_in(low: int, high: int | None = None) -> Callable[[str], int]:
+    """An argparse type: an integer in [low, high] (else exit 2)."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     parse.__name__ = "int"
@@ -60,10 +72,10 @@ def _add_input_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--code", help="inline input; ';' separates lines")
     sub.add_argument(
         "--max-states",
-        type=_int_at_least(1),
+        type=_int_in(1),
         default=DEFAULT_MAX_STATES,
         metavar="N",
-        help="enumeration cap as a state/subgraph count (default 2^24)",
+        help=f"enumeration cap as a state/subgraph count (default 2^{DEFAULT_MAX_CROSSINGS})",
     )
 
 
@@ -79,7 +91,8 @@ def _load_text(args: argparse.Namespace) -> str:
 
 
 def _cap(args: argparse.Namespace) -> int:
-    # --max-states counts states (2^n); the library caps n itself.
+    # --max-states counts states (2^n); the library caps n itself. This is
+    # the one conversion between the two units.
     return args.max_states.bit_length() - 1
 
 
@@ -119,13 +132,9 @@ def _format_edge_set(included: frozenset[int]) -> str:
 
 def cmd_table(args: argparse.Namespace) -> int:
     diagram = parse_diagram(_load_text(args))
-    if diagram.n > _cap(args):
-        raise EnumerationCapError(
-            f"{diagram.n} crossings exceeds the enumeration cap of {_cap(args)}"
-        )
     header = ["state", "alpha", "beta", "delta", "edges", "k", "r", "n", "bc", "s"]
     rows = [header]
-    for row in state_subgraph_rows(diagram):
+    for row in verify_identity(diagram, _cap(args)).per_state:
         st = row.stats
         rows.append(
             [
@@ -151,35 +160,46 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    diagram = parse_diagram(_load_text(args))
-    report = verify_identity(diagram, _cap(args))
+def _mismatch_report(report: VerificationReport) -> list[str]:
+    """The MISMATCH block of a report: both sides, then each failing state.
+
+    Empty iff the identity holds, as polynomials and state by state.
+    """
     if report.equal and not report.per_state.mismatches:
-        print("OK")
-        return 0
-    print("MISMATCH")
-    print(f"bracket:     {print_poly(report.lhs)}")
-    print(f"transformed: {print_poly(report.rhs)}")
+        return []
+    lines = [
+        "MISMATCH",
+        f"bracket:     {print_poly(report.lhs)}",
+        f"transformed: {print_poly(report.rhs)}",
+    ]
     for index in report.per_state.mismatches:
         row = report.per_state[index]
         st = row.stats
-        print(
+        lines.append(
             f"state {row.state.word}: alpha={row.state.alpha} beta={row.state.beta} "
             f"delta={row.delta} vs subgraph {{{_format_edge_set(row.included)}}}: "
             f"e={st.e} 2s={st.s_twice} bc={st.bc}"
         )
-    return 1
+    return lines
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    diagram = parse_diagram(_load_text(args))
+    lines = _mismatch_report(verify_identity(diagram, _cap(args)))
+    print("\n".join(lines) or "OK")
+    return 1 if lines else 0
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     failures = 0
     for i, diagram in enumerate(random_diagrams(args.count, args.max_crossings, args.seed)):
-        report = verify_identity(diagram)
-        if report.equal and not report.per_state.mismatches:
+        lines = _mismatch_report(verify_identity(diagram))
+        if not lines:
             continue
         failures += 1
         print(f"FAIL diagram {i} ({diagram.n} crossings):")
         sys.stdout.write(print_diagram(diagram))
+        print("\n".join(lines))
     print(f"{args.count - failures}/{args.count} diagrams verified")
     return 0 if failures == 0 else 1
 
@@ -219,8 +239,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("fuzz", help="verify the identity on random diagrams")
-    p.add_argument("--count", type=_int_at_least(0), default=100, metavar="N")
-    p.add_argument("--max-crossings", type=_int_at_least(1), default=10, metavar="M")
+    p.add_argument("--count", type=_int_in(0), default=100, metavar="N")
+    p.add_argument(
+        "--max-crossings", type=_int_in(1, DEFAULT_MAX_CROSSINGS), default=10, metavar="M"
+    )
     p.add_argument("--seed", type=int, default=0, metavar="S")
     p.set_defaults(func=cmd_fuzz)
 

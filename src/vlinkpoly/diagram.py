@@ -66,7 +66,8 @@ __all__ = [
 BRACKET_RING = Ring(("A", "B", "d"))
 JONES_RING = Ring(("t",), (4,))
 
-# Soft cap on crossings for full state enumeration (2^24 states).
+# Soft cap on crossings for full state enumeration (2^n states); every other
+# enumeration cap default is derived from it.
 DEFAULT_MAX_CROSSINGS = 24
 
 
@@ -76,6 +77,16 @@ class DiagramError(ValueError):
 
 class EnumerationCapError(RuntimeError):
     """A full enumeration would exceed the configured cap."""
+
+
+def _check_cap(size: int, cap: int, unit: str = "crossings") -> None:
+    """Refuse to enumerate 2^size items when size exceeds cap.
+
+    Every capped enumeration checks here: the bracket and `verify_identity`
+    in crossings, `bollobas_riordan` and `tutte` in edges.
+    """
+    if size > cap:
+        raise EnumerationCapError(f"{size} {unit} exceeds the enumeration cap of {cap}")
 
 
 @dataclass(frozen=True)
@@ -316,10 +327,7 @@ def kauffman_bracket(
 ) -> LaurentPoly:
     """The bracket polynomial in A, B, d (exact state sum over 2^n states)."""
     n = len(diagram.crossings)
-    if n > max_crossings:
-        raise EnumerationCapError(
-            f"{n} crossings exceeds the enumeration cap of {max_crossings} (2^{n} states)"
-        )
+    _check_cap(n, max_crossings)
     return bracket_partial(diagram, 0, 1 << n)
 
 

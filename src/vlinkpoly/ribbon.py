@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diagram import EnumerationCapError, VirtualLinkDiagram
+from .diagram import DEFAULT_MAX_CROSSINGS, VirtualLinkDiagram, _check_cap
 from .polyring import LaurentPoly, Ring
 from .walk import RollbackUnionFind, walk
 
@@ -64,8 +64,9 @@ __all__ = [
 BR_RING = Ring(("x", "y", "z"), (2, 2, 1))
 TUTTE_RING = Ring(("x", "y"))
 
-# Soft cap on edges for full subgraph enumeration (2^24 subgraphs).
-DEFAULT_MAX_EDGES = 24
+# Soft cap on edges for full subgraph enumeration: the Seifert-circle graph
+# has one edge per crossing, so it is the diagram's crossing cap.
+DEFAULT_MAX_EDGES = DEFAULT_MAX_CROSSINGS
 
 
 class RibbonError(ValueError):
@@ -348,10 +349,7 @@ def _brpoly_from_counts(g: RibbonGraph, acc: dict[tuple[int, int, int, int], int
 
 def bollobas_riordan(g: RibbonGraph, max_edges: int = DEFAULT_MAX_EDGES) -> LaurentPoly:
     """The signed Bollobas-Riordan polynomial (sum over all 2^e subgraphs)."""
-    if g.e > max_edges:
-        raise EnumerationCapError(
-            f"{g.e} edges exceeds the enumeration cap of {max_edges} (2^{g.e} subgraphs)"
-        )
+    _check_cap(g.e, max_edges, "edges")
     return brpoly_partial(g, 0, 1 << g.e)
 
 
@@ -365,10 +363,7 @@ def tutte(g: RibbonGraph, max_edges: int = DEFAULT_MAX_EDGES) -> LaurentPoly:
     for e in g.edges:
         if e.sign != 1:
             raise RibbonError("tutte is defined here for all-positive ribbon graphs only")
-    if g.e > max_edges:
-        raise EnumerationCapError(
-            f"{g.e} edges exceeds the enumeration cap of {max_edges}"
-        )
+    _check_cap(g.e, max_edges, "edges")
     core = [(g.vertex_of(e.a), g.vertex_of(e.b)) for e in g.edges]
     x = TUTTE_RING.variable("x")
     y = TUTTE_RING.variable("y")

@@ -37,10 +37,10 @@ from .diagram import (
     DEFAULT_MAX_CROSSINGS,
     BRACKET_RING,
     CrossingCode,
-    EnumerationCapError,
     State,
     VirtualLinkDiagram,
     _bracket_from_counts,
+    _check_cap,
     _splice_links,
     seifert_state,
     split_circles,
@@ -283,11 +283,7 @@ def verify_identity(
     equality; per_state localizes any failure to single states. One
     walk computes both sides and the rows (see `_fused_pass`).
     """
-    n_crossings = diagram.n
-    if n_crossings > max_crossings:
-        raise EnumerationCapError(
-            f"{n_crossings} crossings exceeds the enumeration cap of {max_crossings}"
-        )
+    _check_cap(diagram.n, max_crossings)
     graph = from_diagram(diagram)
     lhs, br, rows = _fused_pass(diagram, graph)
     k = components(SpanningSubgraph(graph, frozenset(range(graph.e))))

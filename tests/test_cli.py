@@ -7,7 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from vlinkpoly import from_diagram, print_ribbon
+from vlinkpoly import (
+    BRACKET_RING,
+    DEFAULT_MAX_CROSSINGS,
+    PerStateRows,
+    VerificationReport,
+    from_diagram,
+    print_poly,
+    print_ribbon,
+    verify_identity,
+)
 from vlinkpoly.cli import main
 
 from conftest import DIAGRAMS, load
@@ -153,3 +162,52 @@ class TestExitCodes:
             main(list(argv))
         assert exc.value.code == 2
         assert "must be at least" in capsys.readouterr().err
+
+    def test_fuzz_max_crossings_above_the_cap_is_a_usage_error(
+        self, capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        def no_diagrams(*args: object) -> None:
+            raise AssertionError("fuzz drew a diagram before rejecting its arguments")
+
+        monkeypatch.setattr("vlinkpoly.cli.random_diagrams", no_diagrams)
+        too_many = str(DEFAULT_MAX_CROSSINGS + 1)
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--count", "1", "--max-crossings", too_many, "--seed", "23"])
+        assert exc.value.code == 2
+        assert f"must be at most {DEFAULT_MAX_CROSSINGS}" in capsys.readouterr().err
+
+
+class TestMismatchReport:
+    """verify and fuzz print one MISMATCH block for a failed verification."""
+
+    @pytest.fixture
+    def expected(self, monkeypatch: pytest.MonkeyPatch) -> list[str]:
+        d = load("paper_knot")
+        true = verify_identity(d)
+        rows = PerStateRows(d, from_diagram(d), true.per_state._columns, [2, 5])
+        report = VerificationReport(true.lhs, true.rhs + BRACKET_RING.one(), False, rows)
+        monkeypatch.setattr("vlinkpoly.cli.verify_identity", lambda *args: report)
+        return [
+            "MISMATCH",
+            f"bracket:     {print_poly(report.lhs)}",
+            f"transformed: {print_poly(report.rhs)}",
+            "state ABA: alpha=2 beta=1 delta=1 vs subgraph {3}: e=1 2s=0 bc=1",
+            "state BAB: alpha=1 beta=2 delta=1 vs subgraph {1,2}: e=2 2s=0 bc=1",
+        ]
+
+    def test_verify(self, capsys: pytest.CaptureFixture[str], expected: list[str]) -> None:
+        code, out, _ = run(capsys, "verify", KNOT3)
+        assert code == 1
+        assert out.splitlines() == expected
+
+    def test_fuzz(self, capsys: pytest.CaptureFixture[str], expected: list[str]) -> None:
+        code, out, _ = run(capsys, "fuzz", "--count", "2", "--max-crossings", "3", "--seed", "0")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[-1] == "0/2 diagrams verified"
+        starts = [i for i, line in enumerate(lines) if line.startswith("FAIL diagram")]
+        assert len(starts) == 2
+        for start, end in zip(starts, starts[1:] + [len(lines) - 1]):
+            block = lines[start:end]
+            assert block[-len(expected):] == expected
+            assert [line for line in block if line.startswith("state ")] == expected[3:]

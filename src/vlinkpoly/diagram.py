@@ -21,6 +21,11 @@ Conventions fixed here and relied on everywhere else:
   * The Kauffman bracket is the sum over all 2^n states of
     A^alpha(S) B^beta(S) d^(delta(S)-1), where alpha/beta count A/B
     choices and delta(S) counts the closed curves after splitting.
+    `kauffman_bracket` (and so `jones`) sums it by frontier contraction:
+    crossings are placed greedily, fewest open arcs first, and each
+    matching of the open arcs keeps a (beta, closed curves) histogram.
+    Past 2^ceil(n/2) live matchings it walks all 2^n states instead, as
+    `bracket_partial` always does.
   * Jones: J(t) = (-1)^w t^(3w/4) times the bracket at A=t^(-1/4),
     B=t^(1/4), d=-t^(1/2)-t^(-1/2), with w the writhe.
 
@@ -312,6 +317,85 @@ def bracket_partial(diagram: VirtualLinkDiagram, start: int, stop: int) -> Laure
     return _bracket_from_counts(diagram, acc)
 
 
+def _frontier_counts(diagram: VirtualLinkDiagram) -> dict[tuple[int, int], int] | None:
+    """The counts of a full `bracket_partial` walk, by frontier contraction.
+
+    Crossings are placed one at a time, each time the one that leaves the
+    fewest open arcs (arcs with exactly one end placed). A live state is a
+    perfect matching of the open arcs, each pair joined by a curve through
+    the placed crossings; it carries the histogram {(beta, closed curves):
+    number of state prefixes} of the prefixes that reach it. Returns None,
+    having held at most 2^ceil(n/2) matchings, when more would be live.
+    """
+    n = len(diagram.crossings)
+    bound = 1 << (n + 1) // 2
+    links = _splice_links(diagram)
+    arcs_at = [a_links[0] + a_links[1] for a_links, _ in links]  # slots s0..s3
+    placed = [0] * (2 * n)  # ends placed, per arc
+
+    def open_after(c: int) -> int:
+        ends = arcs_at[c]
+        return sum((placed[a] + ends.count(a) == 1) - (placed[a] == 1) for a in set(ends))
+
+    remaining = set(range(n))
+    frontier: list[int] = []
+    states: dict[tuple[int, ...], dict[tuple[int, int], int]] = {(): {(0, 0): 1}}
+    while remaining:
+        c = min(remaining, key=lambda c: (open_after(c), c))
+        remaining.remove(c)
+        for a in arcs_at[c]:
+            placed[a] += 1
+        old, frontier = frontier, sorted(a for a in {*frontier, *arcs_at[c]} if placed[a] == 1)
+        # Per choice: its four arc ends in link order, so position p is spliced
+        # to p ^ 1, and what lies beyond each end. ~q stands for position q: a
+        # loop arc's other end, or (per state) an open arc matched to an end
+        # here. An arc id stands for an open end left dangling.
+        moves = []
+        for beta, pairs in enumerate(links[c]):
+            pos = pairs[0] + pairs[1]
+            here = {a: ~p for p, a in enumerate(pos) if a in old}
+            beyond = list(pos)
+            for p, a in enumerate(pos):
+                if (q := pos.index(a)) != p:
+                    beyond[p], beyond[q] = ~q, ~p
+            moves.append((beta, here, beyond))
+        new: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+        for key, hist in states.items():
+            mate = dict(zip(old, key))
+            for beta, here, beyond in moves:
+                far = [here.get(mate[a], mate[a]) if a in mate else a for a in beyond]
+                joined: dict[int, int] = {}
+                seen = closed = 0
+                for p in range(4):
+                    if far[p] >= 0 and not seen >> p & 1:
+                        q = p
+                        while True:
+                            seen |= 1 << q | 1 << (q ^ 1)
+                            end = far[q ^ 1]
+                            if end >= 0:
+                                break
+                            q = ~end
+                        joined[far[p]], joined[end] = end, far[p]
+                for p in range(4):
+                    if not seen >> p & 1:
+                        closed += 1
+                        q = p
+                        while not seen >> q & 1:
+                            seen |= 1 << q | 1 << (q ^ 1)
+                            q = ~far[q ^ 1]
+                matching = tuple(joined.get(a, mate.get(a)) for a in frontier)
+                target = new.get(matching)
+                if target is None:
+                    if len(new) == bound:
+                        return None
+                    target = new[matching] = {}
+                for (b, k), count in hist.items():
+                    kb = (b + beta, k + closed)
+                    target[kb] = target.get(kb, 0) + count
+        states = new
+    return states[()]
+
+
 def _bracket_from_counts(
     diagram: VirtualLinkDiagram, acc: dict[tuple[int, int], int]
 ) -> LaurentPoly:
@@ -325,10 +409,19 @@ def _bracket_from_counts(
 def kauffman_bracket(
     diagram: VirtualLinkDiagram, max_crossings: int = DEFAULT_MAX_CROSSINGS
 ) -> LaurentPoly:
-    """The bracket polynomial in A, B, d (exact state sum over 2^n states)."""
+    """The bracket polynomial in A, B, d: the exact sum over all 2^n states.
+
+    It is computed by frontier contraction (`_frontier_counts`: greedy
+    crossing order, one histogram per matching of the open arcs) and falls
+    back to walking all 2^n states (`bracket_partial`) when more than
+    2^ceil(n/2) matchings would be live. The cap is checked first either way.
+    """
     n = len(diagram.crossings)
     _check_cap(n, max_crossings)
-    return bracket_partial(diagram, 0, 1 << n)
+    counts = _frontier_counts(diagram)
+    if counts is None:
+        return bracket_partial(diagram, 0, 1 << n)
+    return _bracket_from_counts(diagram, counts)
 
 
 def jones(diagram: VirtualLinkDiagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LaurentPoly:

@@ -144,6 +144,13 @@ class PerStateRows(Sequence[PerStateRow]):
     component counts of each state, plus the indices whose term check
     failed (`mismatches`); a PerStateRow is built from them when read.
     Indexing and iteration give rows, a slice gives a tuple of rows.
+
+    The first read builds two tables per half of the state index, the
+    high half being crossings 0..ceil(n/2)-1: each half's letters and its
+    set of flipped crossings, one entry per value of the half's bits.
+    A row's letters are then one tuple concatenation and its included
+    edges one frozenset union over the halves of index ^ seifert. Rows
+    with the same (e, k, ports, e_minus) share one frozen SubgraphStats.
     """
 
     def __init__(
@@ -159,6 +166,8 @@ class PerStateRows(Sequence[PerStateRow]):
         self._free_discs = sum(1 for rot in graph.rotations if not rot)
         self.mismatches = tuple(mismatches)
         self._failed = frozenset(mismatches)
+        self._halves: tuple | None = None
+        self._stats: dict[tuple[int, int, int, int], SubgraphStats] = {}
 
     def __len__(self) -> int:
         return len(self._columns[0])
@@ -180,16 +189,43 @@ class PerStateRows(Sequence[PerStateRow]):
     def __hash__(self) -> int:
         return hash(tuple(self))
 
+    def _half_tables(self) -> tuple:
+        """(low half's bit count, high letters, high flipped, low letters, low flipped)."""
+        n = self._n
+        low = n // 2
+        tables: list = [low]
+        for first, bits in ((0, n - low), (n - low, low)):
+            tables.append([State.from_index(bits, m).letters for m in range(1 << bits)])
+            tables.append(
+                [frozenset(first + j for j in range(bits) if m >> (bits - 1 - j) & 1) for m in range(1 << bits)]
+            )
+        self._halves = tuple(tables)
+        return self._halves
+
     def _row(self, index: int) -> PerStateRow:
-        n, g = self._n, self._graph
-        arcs, ports, vertices = (column[index] for column in self._columns)
+        low, high_letters, high_flipped, low_letters, low_flipped = self._halves or self._half_tables()
+        low_mask = (1 << low) - 1
+        arcs_column, ports_column, vertices_column = self._columns
+        arcs, ports, k = arcs_column[index], ports_column[index], vertices_column[index]
         flips = index ^ self._seifert
-        e_minus = (flips & self._negative).bit_count()
-        bc = ports + self._free_discs
-        st = _subgraph_stats(g.v, flips.bit_count(), vertices, bc, e_minus, self._negative.bit_count())
-        included = frozenset(i for i in range(n) if flips >> (n - 1 - i) & 1)
-        delta = arcs + self._free_loops
-        return PerStateRow(State.from_index(n, index), delta, included, st, index not in self._failed)
+        e, e_minus = flips.bit_count(), (flips & self._negative).bit_count()
+        # A SubgraphStats is frozen and fixed by its counts, so one is shared.
+        key = (e, k, ports, e_minus)
+        st = self._stats.get(key)
+        if st is None:
+            st = self._stats[key] = _subgraph_stats(
+                self._graph.v, e, k, ports + self._free_discs, e_minus, self._negative.bit_count()
+            )
+        # The letters come from State.from_index, so they need no validation.
+        state = object.__new__(State)
+        object.__setattr__(state, "letters", high_letters[index >> low] + low_letters[index & low_mask])
+        return PerStateRow(
+            state,
+            arcs + self._free_loops,
+            high_flipped[flips >> low] | low_flipped[flips & low_mask],
+            st,
+            index not in self._failed,
+        )
 
 
 @dataclass(frozen=True)
@@ -259,14 +295,17 @@ def _fused_pass(
 
 
 def state_subgraph_rows(
-    diagram: VirtualLinkDiagram, graph: RibbonGraph | None = None
+    diagram: VirtualLinkDiagram,
+    graph: RibbonGraph | None = None,
+    max_crossings: int = DEFAULT_MAX_CROSSINGS,
 ) -> PerStateRows:
     """All 2^n states in word order, each with its subgraph data.
 
     term_ok records whether the state's bracket monomial matches the
     transformed subgraph monomial, which is exactly the three counting
-    identities.
+    identities. Past max_crossings it raises EnumerationCapError.
     """
+    _check_cap(diagram.n, max_crossings)
     if graph is None:
         graph = from_diagram(diagram)
     return _fused_pass(diagram, graph)[2]

@@ -159,3 +159,14 @@ class TestRandomDiagrams:
         graph = from_diagram(d)
         for state in enumerate_states(d):
             assert check_counting_identities(d, state, graph)
+
+
+class TestStateSubgraphRows:
+    def test_enumeration_cap(self, paper_knot: VirtualLinkDiagram) -> None:
+        with pytest.raises(EnumerationCapError):
+            state_subgraph_rows(paper_knot, max_crossings=2)
+
+    def test_default_cap_gives_every_row(self, paper_knot: VirtualLinkDiagram) -> None:
+        rows = state_subgraph_rows(paper_knot)
+        assert len(rows) == 8
+        assert [row.state.word for row in rows] == sorted(MIXED3_SUBGRAPH_TABLE)

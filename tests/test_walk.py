@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -18,6 +19,8 @@ from vlinkpoly import (
     check_counting_identities,
     from_diagram,
     kauffman_bracket,
+    parse_diagram,
+    random_diagram,
     random_diagrams,
     random_ribbon_graph,
     split_circles,
@@ -189,3 +192,63 @@ class TestPerStateRows:
         assert [row.term_ok for row in flagged] == [i not in (2, 5) for i in range(8)]
         assert flagged.mismatches == (2, 5)
         assert [row.state for row in flagged] == [row.state for row in rows]
+
+
+def edge_shape_diagrams() -> list[VirtualLinkDiagram]:
+    """n = 0, uneven index halves, empty-rotation vertices, and a fuzz stream."""
+    shapes = [parse_diagram("L 2"), parse_diagram("X 1 1 2 2\nL 1")]
+    shapes += [random_diagram(n, seed) for n in (1, 2, 3) for seed in range(4)]
+    shapes.append(VirtualLinkDiagram(random_diagram(3, 5).crossings, 2))
+    return shapes + list(random_diagrams(40, 12, 4242))
+
+
+class TestRowReads:
+    def test_sample_has_the_edge_shapes(self) -> None:
+        shapes = edge_shape_diagrams()
+        assert {d.n for d in shapes} >= {0, 1, 2, 3, 12}
+        assert any(d.n and not all(from_diagram(d).rotations) for d in shapes)
+
+    def test_rows_equal_the_reference_read_in_any_order(self) -> None:
+        for d in edge_shape_diagrams():
+            expected = reference_rows(d)
+            size = len(expected)
+            rows = verify_identity(d).per_state
+            assert [rows[i] for i in reversed(range(size))] == list(reversed(expected)), d
+            assert [rows[i - size] for i in range(size)] == list(expected), d
+            assert tuple(rows) == expected, d
+
+    def test_shared_stats_do_not_depend_on_read_order(self) -> None:
+        for d in edge_shape_diagrams()[:24]:
+            columns = verify_identity(d).per_state._columns
+            graph = from_diagram(d)
+            forwards = list(PerStateRows(d, graph, columns, []))
+            rows = PerStateRows(d, graph, columns, [])
+            backwards = [rows[i] for i in reversed(range(len(rows)))][::-1]
+            assert forwards == backwards
+            assert [rows[i] for i in range(len(rows))] == backwards
+            # Equal statistics are one shared object.
+            assert len({id(row.stats) for row in backwards}) == len({row.stats for row in backwards})
+
+
+class TestRowContract:
+    """What callers that build or corrupt rows rely on."""
+
+    def test_replace_changes_term_ok_only(self) -> None:
+        rows = verify_identity(random_diagram(5, 11)).per_state
+        bad = dataclasses.replace(rows[3], term_ok=False)
+        assert isinstance(bad, PerStateRow) and rows[3].term_ok and not bad.term_ok
+        assert bad != rows[3]
+        assert dataclasses.replace(bad, term_ok=True) == rows[3]
+        for field in ("state", "delta", "included", "stats"):
+            assert getattr(bad, field) == getattr(rows[3], field)
+        spliced = rows[:3] + (bad,) + rows[4:]
+        assert isinstance(spliced, tuple) and len(spliced) == len(rows)
+        assert all(isinstance(row, PerStateRow) for row in spliced)
+        assert [row.term_ok for row in spliced] == [i != 3 for i in range(len(rows))]
+
+    def test_listed_mismatches_read_false_at_exactly_those_indices(self) -> None:
+        d = random_diagram(5, 11)
+        rows = PerStateRows(d, from_diagram(d), verify_identity(d).per_state._columns, [2, 5])
+        assert [row.term_ok for row in rows] == [i not in (2, 5) for i in range(32)]
+        assert [rows[i].term_ok for i in (-30, -27, 2, 5)] == [False] * 4
+        assert rows.mismatches == (2, 5)

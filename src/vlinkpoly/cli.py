@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 from typing import Callable
 
 from .diagram import (
@@ -45,7 +46,7 @@ from .diagram import (
 )
 from .polyring import PolyParseError, print_poly
 from .ribbon import RibbonError, bollobas_riordan, from_diagram, parse_ribbon, print_ribbon
-from .thistle import VerificationReport, random_diagrams, verify_identity
+from .thistle import PerStateRow, VerificationReport, random_diagrams, verify_identity
 
 __all__ = ["main"]
 
@@ -110,7 +111,7 @@ def cmd_jones(args: argparse.Namespace) -> int:
 
 def cmd_ribbon(args: argparse.Namespace) -> int:
     diagram = parse_diagram(_load_text(args))
-    sys.stdout.write(print_ribbon(from_diagram(diagram)))
+    sys.stdout.write(print_ribbon(from_diagram(diagram, _cap(args))))
     return 0
 
 
@@ -119,7 +120,7 @@ def cmd_brpoly(args: argparse.Namespace) -> int:
     if args.graph:
         graph = parse_ribbon(text)
     else:
-        graph = from_diagram(parse_diagram(text))
+        graph = from_diagram(parse_diagram(text), _cap(args))
     print(print_poly(bollobas_riordan(graph, _cap(args))))
     return 0
 
@@ -130,33 +131,39 @@ def _format_edge_set(included: frozenset[int]) -> str:
     return ",".join(str(i + 1) for i in sorted(included))
 
 
+_TABLE_HEADER = ("state", "alpha", "beta", "delta", "edges", "k", "r", "n", "bc", "s")
+
+
+def _table_cells(row: PerStateRow) -> tuple[str, ...]:
+    st = row.stats
+    return (
+        row.state.word or "-",
+        str(row.state.alpha),
+        str(row.state.beta),
+        str(row.delta),
+        _format_edge_set(row.included),
+        str(st.k),
+        str(st.r),
+        str(st.n),
+        str(st.bc),
+        str(st.s),
+    )
+
+
 def cmd_table(args: argparse.Namespace) -> int:
     diagram = parse_diagram(_load_text(args))
-    header = ["state", "alpha", "beta", "delta", "edges", "k", "r", "n", "bc", "s"]
-    rows = [header]
-    for row in verify_identity(diagram, _cap(args)).per_state:
-        st = row.stats
-        rows.append(
-            [
-                row.state.word or "-",
-                str(row.state.alpha),
-                str(row.state.beta),
-                str(row.delta),
-                _format_edge_set(row.included),
-                str(st.k),
-                str(st.r),
-                str(st.n),
-                str(st.bc),
-                str(st.s),
-            ]
-        )
+    per_state = verify_identity(diagram, _cap(args)).per_state
+    # Rows are printed as they are read, never held as text: --tsv in one
+    # pass, the aligned form in two (column widths, then lines).
     if args.tsv:
-        for row in rows:
-            print("\t".join(row))
-    else:
-        widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-        for row in rows:
-            print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        for cells in chain([_TABLE_HEADER], map(_table_cells, per_state)):
+            print("\t".join(cells))
+        return 0
+    widths = list(map(len, _TABLE_HEADER))
+    for cells in map(_table_cells, per_state):
+        widths = list(map(max, widths, map(len, cells)))
+    for cells in chain([_TABLE_HEADER], map(_table_cells, per_state)):
+        print("  ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip())
     return 0
 
 

@@ -84,14 +84,18 @@ class EnumerationCapError(RuntimeError):
     """A full enumeration would exceed the configured cap."""
 
 
-def _check_cap(size: int, cap: int, unit: str = "crossings") -> None:
+def _check_cap(size: int, cap: int, unit: str = "crossings", free_loops: int = 0) -> None:
     """Refuse to enumerate 2^size items when size exceeds cap.
 
     Every capped enumeration checks here: the bracket and `verify_identity`
-    in crossings, `bollobas_riordan` and `tutte` in edges.
+    in crossings, `bollobas_riordan` and `tutte` in edges. A ribbon graph
+    built from a diagram holds one vertex per free loop, so more than
+    2^cap free loops are refused too.
     """
     if size > cap:
         raise EnumerationCapError(f"{size} {unit} exceeds the enumeration cap of {cap}")
+    if free_loops > 1 << cap:
+        raise EnumerationCapError(f"{free_loops} free loops exceed the enumeration cap of 2^{cap}")
 
 
 @dataclass(frozen=True)

@@ -396,7 +396,9 @@ def tutte(g: RibbonGraph, max_edges: int = DEFAULT_MAX_EDGES) -> LaurentPoly:
     return recurse(core)
 
 
-def from_diagram(diagram: VirtualLinkDiagram) -> RibbonGraph:
+def from_diagram(
+    diagram: VirtualLinkDiagram, max_crossings: int = DEFAULT_MAX_CROSSINGS
+) -> RibbonGraph:
     """The Seifert-circle ribbon graph of an oriented diagram.
 
     Vertices are the Seifert circles, each recorded as the counterclockwise
@@ -406,8 +408,10 @@ def from_diagram(diagram: VirtualLinkDiagram) -> RibbonGraph:
     crossing sign. Crossing i (0-based) owns half-edges 2i+1 and 2i+2;
     2i+1 marks the Seifert transition that leaves the incoming under-strand
     arc. Circles are listed in order of their smallest arc id, starting at
-    the transition out of that arc.
+    the transition out of that arc. More than 2^max_crossings free loops
+    raise EnumerationCapError.
     """
+    _check_cap(0, max_crossings, free_loops=diagram.free_loops)
     # Seifert transitions: each arc, at its incoming occurrence, continues
     # along the unique orientation-preserving splitting. At a positive
     # crossing that splitting is A and pairs (s0,s1), (s2,s3); at a negative

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator
@@ -57,7 +58,7 @@ from .ribbon import (
     from_diagram,
     stats,
 )
-from .walk import RollbackUnionFind, walk
+from .walk import RollbackUnionFind, walk_prefixes
 
 __all__ = [
     "PerStateRow",
@@ -216,16 +217,19 @@ class PerStateRows(Sequence[PerStateRow]):
             st = self._stats[key] = _subgraph_stats(
                 self._graph.v, e, k, ports + self._free_discs, e_minus, self._negative.bit_count()
             )
-        # The letters come from State.from_index, so they need no validation.
+        # The letters come from State.from_index, so neither frozen object
+        # needs its __init__; both are filled in directly, which is cheaper.
         state = object.__new__(State)
-        object.__setattr__(state, "letters", high_letters[index >> low] + low_letters[index & low_mask])
-        return PerStateRow(
-            state,
-            arcs + self._free_loops,
-            high_flipped[flips >> low] | low_flipped[flips & low_mask],
-            st,
-            index not in self._failed,
+        state.__dict__["letters"] = high_letters[index >> low] + low_letters[index & low_mask]
+        row = object.__new__(PerStateRow)
+        row.__dict__.update(
+            state=state,
+            delta=arcs + self._free_loops,
+            included=high_flipped[flips >> low] | low_flipped[flips & low_mask],
+            stats=st,
+            term_ok=index not in self._failed,
         )
+        return row
 
 
 @dataclass(frozen=True)
@@ -238,6 +242,135 @@ class VerificationReport:
     per_state: Sequence[PerStateRow]
 
 
+def _fused_levels(
+    diagram: VirtualLinkDiagram, graph: RibbonGraph, seifert_bits: int
+) -> tuple[RollbackUnionFind, list]:
+    """The union-find of arcs, ports and vertices, and the levels of the walk.
+
+    Letter bit b (0 = A) at crossing i splices the arcs by b and includes
+    edge i iff b differs from the Seifert state's bit there.
+    """
+    n = diagram.n
+    splices = _splice_links(diagram)
+    fixed, bands = _band_links(graph, 2 * n)
+    levels = []
+    for i in range(n):
+        seifert = seifert_bits >> (n - 1 - i) & 1
+        levels.append((splices[i][0] + bands[i][seifert], splices[i][1] + bands[i][1 - seifert]))
+    uf = RollbackUnionFind(2 * n, 4 * graph.e, graph.v)
+    for x, y in fixed:
+        uf.union(x, y)
+    return uf, levels
+
+
+def _fused_counts(
+    diagram: VirtualLinkDiagram,
+    graph: RibbonGraph,
+    low: int | None = None,
+    max_tables: int | None = None,
+) -> tuple[dict, dict, tuple[array, array, array], list[int]]:
+    """The histograms, the three byte columns and the mismatches of the fused walk.
+
+    The state index splits into the high n-low bits, walked one prefix at
+    a time, and the low bits, whose suffix tables `walk_prefixes`
+    memoizes; by default low = (n-1)//2 and at most 2^ceil(n/2) tables
+    are stored. A table holds each suffix's arc, port and vertex merges
+    and the suffixes' share of the (beta, arcs) and (e, e_minus, k, ports)
+    histograms. beta, e and e_minus of a state add over the two parts of
+    its index, so each histogram key is packed into one int in mixed
+    radix, and a state's key is its prefix's packed key plus its suffix's.
+    The term check of a state depends only on beta - e + 2 e_minus and
+    arcs - ports, which also add over the parts, so a table keeps one
+    suffix per distinct share of those two sums and each prefix checks
+    only those; if one fails, every state of the prefix is checked.
+    """
+    n = diagram.n
+    if low is None:
+        low = max(n - 1, 0) // 2
+    if max_tables is None:
+        max_tables = 1 << (n + 1) // 2
+    low = min(low, n)
+    seifert_bits, negative = _state_order_masks(diagram, graph)
+    uf, levels = _fused_levels(diagram, graph, seifert_bits)
+    suffixes = range(1 << low)
+    seifert_low, negative_low = seifert_bits & suffixes[-1], negative & suffixes[-1]
+    seifert_high, negative_high = seifert_bits >> low, negative >> low
+    suffix_beta = [s.bit_count() for s in suffixes]
+    suffix_e = [(s ^ seifert_low).bit_count() for s in suffixes]
+    suffix_e_minus = [((s ^ seifert_low) & negative_low).bit_count() for s in suffixes]
+    # Mixed radices of the packed keys: arcs <= 2n, e_minus <= n, k <= v, ports <= 4e.
+    arcs_radix, e_minus_radix, k_radix, ports_radix = 2 * n + 1, n + 1, graph.v + 1, 4 * graph.e + 1
+    suffix_bracket = [b * arcs_radix for b in suffix_beta]
+    suffix_br = [
+        (e * e_minus_radix + m) * k_radix * ports_radix for e, m in zip(suffix_e, suffix_e_minus)
+    ]
+    suffix_x = [b - e + 2 * m for b, e, m in zip(suffix_beta, suffix_e, suffix_e_minus)]
+
+    # Codes are signed and below (n+1)^2 k_radix ports_radix; counts are at most 2^low.
+    code_type = "i" if (n + 1) ** 2 * k_radix * ports_radix < 1 << 31 else "q"
+    count_type = _column(1 << low).typecode
+
+    def build(merges: tuple[bytes, ...]) -> tuple:
+        arcs_m, ports_m, vertices_m = merges
+        bracket = Counter(map(int.__sub__, suffix_bracket, arcs_m))
+        br = Counter(
+            code - k * ports_radix - p for code, k, p in zip(suffix_br, vertices_m, ports_m)
+        )
+        shares = dict(zip(zip(suffix_x, map(int.__sub__, ports_m, arcs_m)), suffixes))
+        return (
+            merges,
+            array(code_type, bracket), array(count_type, bracket.values()),
+            array(code_type, br), array(count_type, br.values()),
+            tuple(shares.values()),
+        )
+
+    counts = uf.counts
+    free_loops = diagram.free_loops
+    free_discs = sum(1 for rot in graph.rotations if not rot)
+    e_total, e_minus_total = graph.e, negative.bit_count()
+
+    def term_ok(prefix_counts: tuple, merges: tuple[bytes, ...], s: int) -> bool:
+        beta, e, e_minus, arcs, ports = prefix_counts
+        beta += suffix_beta[s]
+        return _terms_agree(
+            n - beta, beta, arcs - merges[0][s] + free_loops, e_total, e + suffix_e[s],
+            2 * (e_minus + suffix_e_minus[s]) - e_minus_total, ports - merges[1][s] + free_discs,
+        )
+
+    columns = (_column(2 * n), _column(4 * graph.e), _column(graph.v))
+    bracket_acc: dict[int, int] = {}
+    br_acc: dict[int, int] = {}
+    mismatches: list[int] = []
+    for prefix, (merges, bracket_codes, bracket_counts, br_codes, br_counts, checked) in walk_prefixes(
+        uf, levels, low, build, max_tables
+    ):
+        arcs, ports, k = counts
+        beta = prefix.bit_count()
+        flips = prefix ^ seifert_high
+        e = flips.bit_count()
+        e_minus = (flips & negative_high).bit_count()
+        base = beta * arcs_radix + arcs
+        for code, count in zip(bracket_codes, bracket_counts):
+            bracket_acc[base + code] = bracket_acc.get(base + code, 0) + count
+        base = ((e * e_minus_radix + e_minus) * k_radix + k) * ports_radix + ports
+        for code, count in zip(br_codes, br_counts):
+            br_acc[base + code] = br_acc.get(base + code, 0) + count
+        prefix_counts = (beta, e, e_minus, arcs, ports)
+        if not all(term_ok(prefix_counts, merges, s) for s in checked):
+            mismatches.extend(
+                prefix << low | s for s in suffixes if not term_ok(prefix_counts, merges, s)
+            )
+        for column, count, merged in zip(columns, counts, merges):
+            column.extend(map(count.__sub__, merged))
+    bracket = {divmod(code, arcs_radix): count for code, count in bracket_acc.items()}
+    br = {}
+    for code, count in br_acc.items():
+        code, ports = divmod(code, ports_radix)
+        code, k = divmod(code, k_radix)
+        br[(*divmod(code, e_minus_radix), k, ports)] = count
+    return bracket, br, columns, mismatches
+
+
 def _fused_pass(
     diagram: VirtualLinkDiagram, graph: RibbonGraph
 ) -> tuple[LaurentPoly, LaurentPoly, PerStateRows]:
@@ -248,48 +381,11 @@ def _fused_pass(
     i of the ribbon graph iff that letter differs from the Seifert
     state's. The bracket is summed from the arc counts alone and the BR
     polynomial from the subgraph counts alone, so the two sides stay
-    independent; the term check compares them state by state.
+    independent; the term check compares them state by state. Every state
+    is counted and checked, but the last levels of the walk are memoized
+    by the partition they see (`_fused_counts`).
     """
-    n = diagram.n
-    seifert_bits, negative = _state_order_masks(diagram, graph)
-    splices = _splice_links(diagram)
-    fixed, bands = _band_links(graph, 2 * n)
-    # Letter bit b (0 = A) at crossing i includes edge i iff b differs from
-    # the Seifert state's bit there.
-    levels = []
-    for i in range(n):
-        seifert = seifert_bits >> (n - 1 - i) & 1
-        levels.append((splices[i][0] + bands[i][seifert], splices[i][1] + bands[i][1 - seifert]))
-    uf = RollbackUnionFind(2 * n, 4 * graph.e, graph.v)
-    for x, y in fixed:
-        uf.union(x, y)
-    counts = uf.counts
-    free_loops = diagram.free_loops
-    free_discs = sum(1 for rot in graph.rotations if not rot)
-    e_total, e_minus_total = graph.e, negative.bit_count()
-    columns = (_column(2 * n), _column(4 * graph.e), _column(graph.v))
-    arcs_col, ports_col, vertices_col = columns
-    bracket_acc: dict[tuple[int, int], int] = {}
-    br_acc: dict[tuple[int, int, int, int], int] = {}
-    mismatches = []
-    for index in walk(uf, levels, 0, 1 << n):
-        arcs, ports, k = counts
-        beta = index.bit_count()
-        key = (beta, arcs)
-        bracket_acc[key] = bracket_acc.get(key, 0) + 1
-        flips = index ^ seifert_bits
-        e = flips.bit_count()
-        e_minus = (flips & negative).bit_count()
-        key = (e, e_minus, k, ports)
-        br_acc[key] = br_acc.get(key, 0) + 1
-        if not _terms_agree(
-            n - beta, beta, arcs + free_loops, e_total, e,
-            2 * e_minus - e_minus_total, ports + free_discs,
-        ):
-            mismatches.append(index)
-        arcs_col.append(arcs)
-        ports_col.append(ports)
-        vertices_col.append(k)
+    bracket_acc, br_acc, columns, mismatches = _fused_counts(diagram, graph)
     rows = PerStateRows(diagram, graph, columns, mismatches)
     return _bracket_from_counts(diagram, bracket_acc), _brpoly_from_counts(graph, br_acc), rows
 
@@ -307,7 +403,7 @@ def state_subgraph_rows(
     """
     _check_cap(diagram.n, max_crossings)
     if graph is None:
-        graph = from_diagram(diagram)
+        graph = from_diagram(diagram, max_crossings)
     return _fused_pass(diagram, graph)[2]
 
 
@@ -323,7 +419,7 @@ def verify_identity(
     walk computes both sides and the rows (see `_fused_pass`).
     """
     _check_cap(diagram.n, max_crossings)
-    graph = from_diagram(diagram)
+    graph = from_diagram(diagram, max_crossings)
     lhs, br, rows = _fused_pass(diagram, graph)
     k = components(SpanningSubgraph(graph, frozenset(range(graph.e))))
     rank = graph.v - k

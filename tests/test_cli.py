@@ -140,6 +140,18 @@ class TestExitCodes:
         code, _, err = run(capsys, "brpoly", KNOT3, "--max-states", "4")
         assert code == 3 and "cap" in err
 
+    @pytest.mark.parametrize("command", ["verify", "table", "brpoly", "ribbon"])
+    def test_free_loops_past_the_cap(self, capsys: pytest.CaptureFixture[str], command: str) -> None:
+        code, out, err = run(capsys, command, "--code", "L 99999999999999999999")
+        assert code == 3 and not out
+        assert "99999999999999999999 free loops exceed the enumeration cap of 2^24" in err
+
+    def test_free_loop_cap_is_two_to_the_crossing_cap(self, capsys: pytest.CaptureFixture[str]) -> None:
+        code, out, _ = run(capsys, "ribbon", "--code", "L 4", "--max-states", "4")
+        assert code == 0 and out == "V\n" * 4
+        code, _, err = run(capsys, "ribbon", "--code", "L 5", "--max-states", "4")
+        assert code == 3 and "5 free loops" in err
+
     def test_non_utf8_file(self, capsys: pytest.CaptureFixture[str], tmp_path: Path) -> None:
         bad = tmp_path / "bad.vld"
         bad.write_bytes(b"X 1 1 2 2\xff\n")

@@ -28,10 +28,11 @@ from vlinkpoly import (
     stats,
     verify_identity,
 )
+from vlinkpoly import thistle
 from vlinkpoly.diagram import _splice_links
 from vlinkpoly.ribbon import _band_links
-from vlinkpoly.thistle import PerStateRow, PerStateRows
-from vlinkpoly.walk import RollbackUnionFind, walk
+from vlinkpoly.thistle import PerStateRow, PerStateRows, _column, _fused_counts, _fused_levels, _terms_agree
+from vlinkpoly.walk import RollbackUnionFind, walk, walk_prefixes
 
 
 def fuzzed_diagrams() -> list[VirtualLinkDiagram]:
@@ -252,3 +253,134 @@ class TestRowContract:
         assert [row.term_ok for row in rows] == [i not in (2, 5) for i in range(32)]
         assert [rows[i].term_ok for i in (-30, -27, 2, 5)] == [False] * 4
         assert rows.mismatches == (2, 5)
+
+
+def plain_counts(d: VirtualLinkDiagram, graph) -> tuple:
+    """_fused_counts's results from a plain walk over all 2^n states, one at a time."""
+    n = d.n
+    seifert_bits, negative = thistle._state_order_masks(d, graph)
+    uf, levels = _fused_levels(d, graph, seifert_bits)
+    free_discs = sum(1 for rot in graph.rotations if not rot)
+    columns = (_column(2 * n), _column(4 * graph.e), _column(graph.v))
+    bracket: dict = {}
+    br: dict = {}
+    mismatches = []
+    for index in walk(uf, levels, 0, 1 << n):
+        arcs, ports, k = uf.counts
+        beta = index.bit_count()
+        bracket[beta, arcs] = bracket.get((beta, arcs), 0) + 1
+        flips = index ^ seifert_bits
+        e, e_minus = flips.bit_count(), (flips & negative).bit_count()
+        br[e, e_minus, k, ports] = br.get((e, e_minus, k, ports), 0) + 1
+        if not _terms_agree(
+            n - beta, beta, arcs + d.free_loops, graph.e, e,
+            2 * e_minus - negative.bit_count(), ports + free_discs,
+        ):
+            mismatches.append(index)
+        for column, count in zip(columns, uf.counts):
+            column.append(count)
+    return bracket, br, columns, mismatches
+
+
+def split_points(n: int) -> list[int]:
+    """The default split, a one-level suffix, and one block (low >= n)."""
+    return sorted({max(n - 1, 0) // 2, min(n, 1), n, n + 2})
+
+
+class TestPrefixMemo:
+    """The memoized fused walk against a plain walk over the same levels."""
+
+    def assert_memo_equals_plain(self, d: VirtualLinkDiagram, lows: list[int | None], tables=(None,)) -> None:
+        graph = from_diagram(d)
+        expected = plain_counts(d, graph)
+        for low in lows:
+            for max_tables in tables:
+                got = _fused_counts(d, graph, low, max_tables)
+                assert got == expected, (d, low, max_tables)
+                assert [c.typecode for c in got[2]] == [c.typecode for c in expected[2]]
+
+    def test_small_n_and_one_block(self) -> None:
+        shapes = [parse_diagram("L 2")] + [random_diagram(n, seed) for n in (1, 2, 3) for seed in range(4)]
+        for d in shapes:
+            self.assert_memo_equals_plain(d, [None, *split_points(d.n)], (None, 0, 1))
+
+    def test_free_loops_and_empty_rotation_vertices(self) -> None:
+        shapes = [
+            parse_diagram("X 1 1 2 2\nL 1"),
+            VirtualLinkDiagram(random_diagram(3, 5).crossings, 2),
+            # 300 free loops push the vertex column past one byte.
+            VirtualLinkDiagram(random_diagram(7, 2).crossings, 300),
+        ]
+        assert _fused_counts(shapes[-1], from_diagram(shapes[-1]))[2][2].typecode == "H"
+        for d in shapes:
+            assert not all(from_diagram(d).rotations)
+            self.assert_memo_equals_plain(d, [None, *split_points(d.n)], (None, 0))
+
+    def test_fuzz_stream(self) -> None:
+        for d in random_diagrams(300, 14, 1515):
+            self.assert_memo_equals_plain(d, [None])
+
+    def test_large_diagrams(self) -> None:
+        for n in (16, 18):
+            for seed in range(2):
+                self.assert_memo_equals_plain(random_diagram(n, seed), [None])
+
+    def test_a_smaller_memo_builds_more_tables(self) -> None:
+        d = random_diagram(13, 4)
+        graph = from_diagram(d)
+        builds = []
+        for max_tables in (0, 1, 3, 1 << 20):
+            uf, levels = _fused_levels(d, graph, thistle._state_order_masks(d, graph)[0])
+            built: list[tuple[bytes, ...]] = []
+            for _ in walk_prefixes(uf, levels, 6, lambda m: built.append(m) or m, max_tables):
+                pass
+            builds.append(len(built))
+        # With no table stored every prefix builds one; unbounded, prefixes share.
+        assert builds[0] == 1 << 7
+        assert builds[3] < builds[2] <= builds[1] <= builds[0]
+        self.assert_memo_equals_plain(d, [None, 6], (0, 1, 3))
+
+    def test_suffix_merges_match_the_plain_walk(self) -> None:
+        for g in fuzzed_graphs()[:40]:
+            fixed, choices = _band_links(g)
+            levels = choices[::-1]
+            uf = RollbackUnionFind(4 * g.e, g.v)
+            for x, y in fixed:
+                uf.union(x, y)
+            start = list(uf.counts)
+            plain = [tuple(uf.counts) for _ in walk(uf, levels, 0, 1 << g.e)]
+            for low in range(g.e + 2):
+                width = 1 << min(low, g.e)
+                for prefix, merges in walk_prefixes(uf, levels, low, lambda m: m, 2):
+                    before = tuple(uf.counts)
+                    for s in range(width):
+                        got = tuple(count - m[s] for count, m in zip(before, merges))
+                        assert got == plain[prefix * width + s], (g, low, prefix, s)
+                assert uf.counts == start
+
+    @pytest.mark.parametrize("flip", ["suffix_bit", "prefix_bit", "all"])
+    def test_forced_mismatches(self, monkeypatch: pytest.MonkeyPatch, flip: str) -> None:
+        true_masks = thistle._state_order_masks
+        for d in [random_diagram(n, seed) for n in (5, 9, 12) for seed in range(2)]:
+            n = d.n
+            wrong = {"suffix_bit": 1, "prefix_bit": 1 << (n - 1), "all": (1 << n) - 1}[flip]
+            monkeypatch.setattr(thistle, "_state_order_masks", lambda *a: (true_masks(*a)[0], true_masks(*a)[1] ^ wrong))
+            graph = from_diagram(d)
+            seifert_bits, negative = thistle._state_order_masks(d, graph)
+            # The identity itself holds at every state; only the patched
+            # negative mask makes the pass's 2s(F) wrong.
+            expected = []
+            for index in range(1 << n):
+                state = State.from_index(n, index)
+                assert check_counting_identities(d, state, graph)
+                flips = index ^ seifert_bits
+                s_twice = 2 * (flips & negative).bit_count() - negative.bit_count()
+                if s_twice != stats(state_to_subgraph(d, state, graph)).s_twice:
+                    expected.append(index)
+            assert expected
+            self.assert_memo_equals_plain(d, [None, *split_points(n)], (None, 0))
+            assert _fused_counts(d, graph)[3] == expected
+            rows = verify_identity(d).per_state
+            assert rows.mismatches == tuple(expected)
+            assert [i for i, row in enumerate(rows) if not row.term_ok] == expected
+            monkeypatch.undo()

@@ -17,7 +17,8 @@ for brpoly --graph); pass - to read stdin, or give the lines inline with
 --code, using ';' as a line separator.
 
 verify prints OK, or a MISMATCH block: the bracket, the transformed
-Bollobas-Riordan polynomial, and one line per state whose terms differ.
+Bollobas-Riordan polynomial, and one line per state whose terms differ;
+past 1000 such states, the first 1000 and a line with their count.
 fuzz prints, for each failing diagram, its index, its code and the same
 MISMATCH block, then the count of diagrams verified. Its --max-crossings
 runs from 1 to the library's crossing cap, DEFAULT_MAX_CROSSINGS, so fuzz
@@ -170,16 +171,19 @@ def cmd_table(args: argparse.Namespace) -> int:
 def _mismatch_report(report: VerificationReport) -> list[str]:
     """The MISMATCH block of a report: both sides, then each failing state.
 
-    Empty iff the identity holds, as polynomials and state by state.
+    Empty iff the identity holds, as polynomials and state by state. Past
+    thistle.MISMATCH_LIST_LIMIT failing states only that many are listed,
+    and a last line gives the count.
     """
-    if report.equal and not report.per_state.mismatches:
+    mismatches = report.per_state.mismatches
+    if report.equal and not mismatches:
         return []
     lines = [
         "MISMATCH",
         f"bracket:     {print_poly(report.lhs)}",
         f"transformed: {print_poly(report.rhs)}",
     ]
-    for index in report.per_state.mismatches:
+    for index in mismatches.listed:
         row = report.per_state[index]
         st = row.stats
         lines.append(
@@ -187,6 +191,8 @@ def _mismatch_report(report: VerificationReport) -> list[str]:
             f"delta={row.delta} vs subgraph {{{_format_edge_set(row.included)}}}: "
             f"e={st.e} 2s={st.s_twice} bc={st.bc}"
         )
+    if len(mismatches) > len(mismatches.listed):
+        lines.append(f"{len(mismatches)} states differ; the first {len(mismatches.listed)} are listed")
     return lines
 
 

@@ -428,8 +428,27 @@ def kauffman_bracket(
     return _bracket_from_counts(diagram, counts)
 
 
+def _loop_factor(m: int) -> LaurentPoly:
+    """d^m under d = -t^(1/2) - t^(-1/2): (-1)^m C(m, j) at t^((m-2j)/2)."""
+    terms, binomial = [], -1 if m % 2 else 1
+    for j in range(m + 1):
+        terms.append(((2 * (m - 2 * j),), binomial))
+        binomial = binomial * (m - j) // (j + 1)
+    return JONES_RING.from_terms(terms)
+
+
 def jones(diagram: VirtualLinkDiagram, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> LaurentPoly:
-    """Jones polynomial in t with quarter-integer exponents."""
+    """Jones polynomial in t with quarter-integer exponents.
+
+    Each free loop multiplies the bracket by d, so all but the last loop
+    of a crossingless diagram, and every loop of one with crossings, are
+    taken out of the bracket and multiplied back in as one binomial row
+    (`_loop_factor`) instead of being expanded by `substitute`.
+    """
+    _check_cap(diagram.n, max_crossings, free_loops=diagram.free_loops)
+    loops = diagram.free_loops if diagram.crossings else diagram.free_loops - 1
+    if loops:
+        diagram = VirtualLinkDiagram(diagram.crossings, diagram.free_loops - loops)
     br = kauffman_bracket(diagram, max_crossings)
     w = writhe(diagram)
     images = {
@@ -439,7 +458,8 @@ def jones(diagram: VirtualLinkDiagram, max_crossings: int = DEFAULT_MAX_CROSSING
         + JONES_RING.monomial(-1, {"t": Fraction(-1, 2)}),
     }
     prefactor = JONES_RING.monomial(-1 if w % 2 else 1, {"t": Fraction(3 * w, 4)})
-    return prefactor * substitute(br, images)
+    result = prefactor * substitute(br, images)
+    return result * _loop_factor(loops) if loops else result
 
 
 def seifert_state(diagram: VirtualLinkDiagram) -> State:

@@ -228,6 +228,41 @@ def _dict_mul(p: dict[Monomial, int], q: dict[Monomial, int]) -> dict[Monomial, 
     return acc
 
 
+def _monomial_images(
+    p: LaurentPoly, images: Mapping[str, LaurentPoly], width: int
+) -> dict[Monomial, int] | None:
+    """substitute's terms when every image is one term, or None if one cannot map.
+
+    Source variable i at u units is raised to u/g_i, and 4/g_i is an
+    integer, so each term maps to one target term whose units, times 4,
+    are an integer sum; it maps exactly iff every sum is divisible by 4
+    and the coefficients allow the exponents. None hands the whole input
+    to substitute's general loop, which raises the error.
+    """
+    ring = p.ring
+    scaled = []
+    for name, g in zip(ring.variables, ring.granularity):
+        ((iunits, icoeff),) = images[name].terms
+        scaled.append((g, icoeff, [x * (4 // g) for x in iunits]))
+    acc: dict[Monomial, int] = {}
+    for units, coeff in p.terms:
+        total = [0] * width
+        for u, (g, icoeff, row) in zip(units, scaled):
+            if not u:
+                continue
+            if icoeff != 1:
+                k, rest = divmod(u, g)
+                if rest or (k < 0 and icoeff != -1):
+                    return None
+                coeff = (-coeff if k & 1 else coeff) if icoeff == -1 else coeff * icoeff**k
+            total = [t + u * x for t, x in zip(total, row)]
+        if any(t & 3 for t in total):
+            return None
+        key = tuple(t >> 2 for t in total)
+        acc[key] = acc.get(key, 0) + coeff
+    return acc
+
+
 def substitute(p: LaurentPoly, images: Mapping[str, LaurentPoly]) -> LaurentPoly:
     """Apply the ring homomorphism sending each variable to its image.
 
@@ -239,6 +274,11 @@ def substitute(p: LaurentPoly, images: Mapping[str, LaurentPoly]) -> LaurentPoly
     so that coefficients stay in the integers. Fractional exponents must
     cancel within each output term: the check is on the accumulated
     quantum-unit total per term, not on individual factors.
+
+    When every image is one term, each source term maps to one target term
+    by integer arithmetic on quantum units (`_monomial_images`), with no
+    Fraction and no polynomial power. Otherwise, and for any input that
+    path cannot map exactly, each term is expanded factor by factor.
     """
     ring = p.ring
     given = set(images)
@@ -256,6 +296,10 @@ def substitute(p: LaurentPoly, images: Mapping[str, LaurentPoly]) -> LaurentPoly
             raise SubstitutionError("images do not all live in the same target ring")
     assert target is not None
     width = len(target.variables)
+    if all(len(images[name].terms) == 1 for name in ring.variables):
+        mapped = _monomial_images(p, images, width)
+        if mapped is not None:
+            return target.from_terms(mapped.items())
 
     acc: dict[Monomial, int] = {}
     for units, coeff in p.terms:

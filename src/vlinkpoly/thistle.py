@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from array import array
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -110,13 +110,33 @@ def check_counting_identities(
 
 @dataclass(frozen=True)
 class PerStateRow:
-    """One state with its image subgraph, statistics, and term check."""
+    """One state with its image subgraph, statistics, and term check.
+
+    A row read from PerStateRows holds only term_ok and a reference back
+    to its rows until another attribute is read; that read fills state,
+    delta, included and stats at once. ==, hash, repr and
+    dataclasses.replace read those fields, and pickling or copying a row
+    fills it first, so all of them see a full row.
+    """
 
     state: State
     delta: int
     included: frozenset[int]
     stats: SubgraphStats
     term_ok: bool
+
+    def __getattr__(self, name: str):
+        # Only called when normal lookup fails: a field not yet filled.
+        source = self.__dict__.pop("_source", None)
+        if source is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        source[0]._fill(self.__dict__, source[1])
+        return getattr(self, name)
+
+    def __getstate__(self) -> dict:
+        # Pickle and copy a full row, never the rows it came from.
+        self.state
+        return self.__dict__
 
 
 def _state_order_masks(diagram: VirtualLinkDiagram, graph: RibbonGraph) -> tuple[int, int]:
@@ -138,20 +158,78 @@ def _column(bound: int) -> array:
     return array("Q")
 
 
+# The number of failing state indices kept as ints; the rest are bits.
+MISMATCH_LIST_LIMIT = 1000
+
+
+class Mismatches(Sequence[int]):
+    """The failing state indices of a verification, in ascending order.
+
+    The first MISMATCH_LIST_LIMIT are kept in `listed`; len() is the exact
+    count. A bit per state (`bits`, allocated at the first failure) gives
+    PerStateRows its term_ok values and yields the indices past the
+    listed ones, so an all-failing run holds 2^n/8 bytes rather than 2^n
+    ints. It compares equal to any list or tuple of the same indices.
+    """
+
+    def __init__(self, states: int, indices: Iterable[int] = ()) -> None:
+        self.states = states
+        self.listed: list[int] = []
+        self.bits: bytearray | None = None
+        self._count = 0
+        self.extend(indices)
+
+    def extend(self, indices: Iterable[int]) -> None:
+        """Add failing indices in ascending order, each above those added before."""
+        indices = list(indices)
+        if not indices:
+            return
+        if self.bits is None:
+            self.bits = bytearray((self.states + 7) >> 3)
+        bits = self.bits
+        for index in indices:
+            bits[index >> 3] |= 1 << (index & 7)
+        self.listed.extend(indices[: MISMATCH_LIST_LIMIT - len(self.listed)])
+        self._count += len(indices)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[int]:
+        yield from self.listed
+        if self._count > len(self.listed):
+            bits = self.bits
+            assert bits is not None
+            yield from (i for i in range(self.listed[-1] + 1, self.states) if bits[i >> 3] >> (i & 7) & 1)
+
+    def __getitem__(self, index):
+        if isinstance(index, int) and 0 <= index < len(self.listed):
+            return self.listed[index]
+        return tuple(self)[index]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (Mismatches, list, tuple)):
+            return len(self) == len(other) and tuple(self) == tuple(other)
+        return NotImplemented
+
+
 class PerStateRows(Sequence[PerStateRow]):
     """The 2^n per-state rows of one verification, in state-index order.
 
     Only three small integer columns are kept, the arc, port and vertex
-    component counts of each state, plus the indices whose term check
-    failed (`mismatches`); a PerStateRow is built from them when read.
-    Indexing and iteration give rows, a slice gives a tuple of rows.
+    component counts of each state, plus the failing indices
+    (`mismatches`, a Mismatches; a plain sequence of indices is accepted
+    too). Indexing and iteration give rows, a slice gives a tuple of rows.
 
-    The first read builds two tables per half of the state index, the
-    high half being crossings 0..ceil(n/2)-1: each half's letters and its
-    set of flipped crossings, one entry per value of the half's bits.
-    A row's letters are then one tuple concatenation and its included
-    edges one frozenset union over the halves of index ^ seifert. Rows
-    with the same (e, k, ports, e_minus) share one frozen SubgraphStats.
+    A row is made holding only term_ok, read from the mismatch bits, so a
+    term_ok scan costs one small object per state. The first read of any
+    other field fills the row (`_fill`) from the columns and from two
+    tables per half of the state index, the high half being crossings
+    0..ceil(n/2)-1: each half's letters and its set of flipped crossings,
+    one entry per value of the half's bits, built on the first fill. A
+    row's letters are then one tuple concatenation and its included edges
+    one frozenset union over the halves of index ^ seifert. Rows with the
+    same (e, k, ports, e_minus) share one frozen SubgraphStats.
     """
 
     def __init__(
@@ -165,8 +243,10 @@ class PerStateRows(Sequence[PerStateRow]):
         self._seifert, self._negative = _state_order_masks(diagram, graph)
         self._free_loops = diagram.free_loops
         self._free_discs = sum(1 for rot in graph.rotations if not rot)
-        self.mismatches = tuple(mismatches)
-        self._failed = frozenset(mismatches)
+        if not isinstance(mismatches, Mismatches):
+            mismatches = Mismatches(len(columns[0]), sorted(set(mismatches)))
+        self.mismatches = mismatches
+        self._bits = mismatches.bits
         self._halves: tuple | None = None
         self._stats: dict[tuple[int, int, int, int], SubgraphStats] = {}
 
@@ -204,6 +284,15 @@ class PerStateRows(Sequence[PerStateRow]):
         return self._halves
 
     def _row(self, index: int) -> PerStateRow:
+        row = object.__new__(PerStateRow)
+        fields = row.__dict__
+        bits = self._bits
+        fields["term_ok"] = bits is None or not bits[index >> 3] >> (index & 7) & 1
+        fields["_source"] = (self, index)
+        return row
+
+    def _fill(self, fields: dict, index: int) -> None:
+        """Write state, delta, included and stats of row `index` into `fields`."""
         low, high_letters, high_flipped, low_letters, low_flipped = self._halves or self._half_tables()
         low_mask = (1 << low) - 1
         arcs_column, ports_column, vertices_column = self._columns
@@ -217,19 +306,16 @@ class PerStateRows(Sequence[PerStateRow]):
             st = self._stats[key] = _subgraph_stats(
                 self._graph.v, e, k, ports + self._free_discs, e_minus, self._negative.bit_count()
             )
-        # The letters come from State.from_index, so neither frozen object
-        # needs its __init__; both are filled in directly, which is cheaper.
+        # The letters come from State.from_index, so the frozen State needs
+        # no __init__; it is filled in directly, which is cheaper.
         state = object.__new__(State)
         state.__dict__["letters"] = high_letters[index >> low] + low_letters[index & low_mask]
-        row = object.__new__(PerStateRow)
-        row.__dict__.update(
+        fields.update(
             state=state,
             delta=arcs + self._free_loops,
             included=high_flipped[flips >> low] | low_flipped[flips & low_mask],
             stats=st,
-            term_ok=index not in self._failed,
         )
-        return row
 
 
 @dataclass(frozen=True)
@@ -268,8 +354,8 @@ def _fused_counts(
     graph: RibbonGraph,
     low: int | None = None,
     max_tables: int | None = None,
-) -> tuple[dict, dict, tuple[array, array, array], list[int]]:
-    """The histograms, the three byte columns and the mismatches of the fused walk.
+) -> tuple[dict, dict, tuple[array, array, array], Mismatches]:
+    """The histograms, the three byte columns and the Mismatches of the fused walk.
 
     The state index splits into the high n-low bits, walked one prefix at
     a time, and the low bits, whose suffix tables `walk_prefixes`
@@ -340,7 +426,7 @@ def _fused_counts(
     columns = (_column(2 * n), _column(4 * graph.e), _column(graph.v))
     bracket_acc: dict[int, int] = {}
     br_acc: dict[int, int] = {}
-    mismatches: list[int] = []
+    mismatches = Mismatches(1 << n)
     for prefix, (merges, bracket_codes, bracket_counts, br_codes, br_counts, checked) in walk_prefixes(
         uf, levels, low, build, max_tables
     ):

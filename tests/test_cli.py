@@ -146,6 +146,14 @@ class TestExitCodes:
         assert code == 3 and not out
         assert "99999999999999999999 free loops exceed the enumeration cap of 2^24" in err
 
+    def test_jones_free_loops_past_the_cap(self, capsys: pytest.CaptureFixture[str]) -> None:
+        code, out, err = run(capsys, "jones", "--code", "L 99999999999999999999")
+        assert code == 3 and out == ""
+        assert "99999999999999999999 free loops exceed the enumeration cap of 2^24" in err
+        # The bracket needs no expansion, so it still prints.
+        code, out, _ = run(capsys, "bracket", "--code", "L 99999999999999999999")
+        assert code == 0 and out == "d^99999999999999999998\n"
+
     def test_free_loop_cap_is_two_to_the_crossing_cap(self, capsys: pytest.CaptureFixture[str]) -> None:
         code, out, _ = run(capsys, "ribbon", "--code", "L 4", "--max-states", "4")
         assert code == 0 and out == "V\n" * 4

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -242,6 +244,42 @@ class TestBracketAndJones:
                 # Corpus diagrams are connected, so at most n + 1 circles.
                 assert 1 <= split_circles(d, s) <= d.n + 1 + d.free_loops
             assert substitute(kauffman_bracket(d), ones) == scalar.constant(1 << d.n), name
+
+
+class TestJonesFreeLoops:
+    """jones multiplies free loops back in as one binomial row."""
+
+    LOOP = JONES_RING.parse("-t^(1/2) - t^(-1/2)")
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 9, 64, 301])
+    def test_loops_alone_are_the_closed_form(self, m: int) -> None:
+        assert jones(parse_diagram(f"L {m}")) == self.LOOP ** (m - 1)
+
+    def test_loops_beside_crossings_multiply_by_d(self, corpus: dict[str, VirtualLinkDiagram]) -> None:
+        diagrams = list(corpus.values()) + [random_diagram(n, seed) for n in (1, 4, 7) for seed in range(2)]
+        for d in filter(lambda d: d.crossings, diagrams):
+            plain = jones(VirtualLinkDiagram(d.crossings))
+            for loops in (1, 2, 5):
+                looped = VirtualLinkDiagram(d.crossings, d.free_loops + loops)
+                assert jones(looped) == plain * self.LOOP ** (d.free_loops + loops), (d, loops)
+
+    def test_loops_match_substituting_the_bracket(self) -> None:
+        d = VirtualLinkDiagram(random_diagram(5, 2).crossings, 3)
+        images = {
+            "A": JONES_RING.parse("t^(-1/4)"),
+            "B": JONES_RING.parse("t^(1/4)"),
+            "d": self.LOOP,
+        }
+        w = writhe(d)
+        prefactor = JONES_RING.monomial(-1 if w % 2 else 1, {"t": Fraction(3 * w, 4)})
+        assert jones(d) == prefactor * substitute(kauffman_bracket(d), images)
+
+    def test_free_loops_past_the_cap_raise(self) -> None:
+        with pytest.raises(EnumerationCapError):
+            jones(parse_diagram("L 99999999999999999999"))
+        with pytest.raises(EnumerationCapError):
+            jones(parse_diagram("L 5"), max_crossings=2)
+        assert jones(parse_diagram("L 4"), max_crossings=2) == self.LOOP ** 3
 
 
 class TestRandomDiagramProperties:

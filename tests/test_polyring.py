@@ -234,6 +234,110 @@ class TestSubstitute:
         assert substitute(p, images) == JONES_RING.parse("1 + t^(-1/2)")
 
 
+# Monomial images: a coefficient in +-1, +-2, +-3 and target units.
+SOURCE = Ring(("x", "y", "z"), (2, 4, 1))
+HALF_TARGET = Ring(("A", "B"), (1, 2))
+image_coeffs = st.sampled_from((1, 1, -1, 2, -2, 3, -3))
+monomial_images = st.tuples(image_coeffs, st.integers(-3, 3), st.integers(-3, 3)).map(
+    lambda t: HALF_TARGET.from_terms([((t[1], t[2]), t[0])])
+)
+source_terms = st.lists(
+    st.tuples(st.tuples(st.integers(-8, 8), st.integers(-8, 8), st.integers(-3, 3)), coeffs), max_size=6
+)
+
+
+def general_loop(p: LaurentPoly, images: dict[str, LaurentPoly]) -> LaurentPoly:
+    """substitute by its factor-by-factor loop: p in a ring with one more
+    variable, which p does not use and whose image has two terms."""
+    ring = Ring(p.ring.variables + ("q",), p.ring.granularity + (1,))
+    wide = ring.from_terms((units + (0,), c) for units, c in p.terms)
+    target = next(iter(images.values())).ring
+    return substitute(wide, {**images, "q": target.one() + target.variable(target.variables[0])})
+
+
+def outcome(f, *args) -> LaurentPoly | str:
+    try:
+        return f(*args)
+    except SubstitutionError as exc:
+        return f"SubstitutionError: {exc}"
+
+
+class TestMonomialSubstitute:
+    """The one-term-per-term path of substitute, against powers and the general loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_products_of_image_powers(self, data: st.DataObject) -> None:
+        # Each image is c * m**4 for a root monomial m, so a source exponent
+        # u/g maps to c^(u/g) * m^(4u/g): fractional exponents only where
+        # c = 1, negative ones only where c = +-1.
+        roots, images, allowed = {}, {}, {}
+        for name, g in zip(SOURCE.variables, SOURCE.granularity):
+            c = data.draw(image_coeffs)
+            root_units = data.draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+            roots[name] = HALF_TARGET.from_terms([(root_units, 1)])
+            images[name] = c * roots[name] ** 4
+            step, low = (1, -8) if c == 1 else (g, -8 if c == -1 else 0)
+            allowed[name] = st.integers(low // step, 8 // step).map(lambda k, step=step: k * step)
+        terms = data.draw(st.lists(st.tuples(st.tuples(*allowed.values()), coeffs), max_size=6))
+        expected = HALF_TARGET.zero()
+        for units, coeff in terms:
+            term = HALF_TARGET.constant(coeff)
+            for name, g, u in zip(SOURCE.variables, SOURCE.granularity, units):
+                ((root_units, _),) = roots[name].terms
+                if u % g == 0:  # an integer exponent: a power of the image itself
+                    k = u // g
+                    image = images[name]
+                    if k < 0:  # only +-1 images: the inverse keeps the coefficient
+                        ((image_units, c),) = image.terms
+                        image = HALF_TARGET.from_terms([(tuple(-x for x in image_units), c)])
+                    term = term * image ** abs(k)
+                else:  # a fractional exponent on a coefficient-1 image: a power of its root
+                    inverse = HALF_TARGET.from_terms([(tuple(-x for x in root_units), 1)])
+                    term = term * (roots[name] if u > 0 else inverse) ** (abs(u) * 4 // g)
+            expected = expected + term
+        assert substitute(SOURCE.from_terms(terms), images) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(source_terms, monomial_images, monomial_images, monomial_images)
+    def test_matches_the_general_loop_in_value_and_error(self, terms, x, y, z) -> None:
+        p = SOURCE.from_terms(terms)
+        images = {"x": x, "y": y, "z": z}
+        assert outcome(substitute, p, images) == outcome(general_loop, p, images)
+        # Most inputs hold a term that cannot map; the terms that can, alone.
+        alone = [outcome(general_loop, SOURCE.from_terms([t]), images) for t in terms]
+        p = SOURCE.from_terms(t for t, out in zip(terms, alone) if isinstance(out, LaurentPoly))
+        assert substitute(p, images) == general_loop(p, images)
+
+    @pytest.mark.parametrize(
+        "ring, terms, images, message",
+        [
+            (
+                RH, [((2, 0), 1), ((3, 0), 1)], {"x": "-A", "y": "1"},
+                "fractional exponent 3/2 on a negative monomial image for 'x'",
+            ),
+            (
+                R2, [((0, 2), 1), ((1, -1), 1)], {"u": "A", "w": "3*B"},
+                "monomial image with coefficient 3 for 'w' needs a nonnegative integer exponent, got -1",
+            ),
+            (
+                RH, [((2, 0), 1), ((2, 1), 1)], {"x": "A", "y": "B"},
+                "substitution leaves fractional exponent 1/2 on 'B' (granularity 1)",
+            ),
+        ],
+    )
+    def test_a_later_term_that_cannot_map_raises_todays_error(self, ring, terms, images, message) -> None:
+        p = ring.from_terms(terms)
+        assert p.terms == tuple(terms)  # the failing term comes after one that maps
+        images = {name: TARGET.parse(text) for name, text in images.items()}
+        first = substitute(ring.from_terms(terms[:1]), images)
+        assert len(first.terms) == 1
+        with pytest.raises(SubstitutionError) as exc:
+            substitute(p, images)
+        assert str(exc.value) == message
+        assert outcome(general_loop, p, images) == f"SubstitutionError: {message}"
+
+
 class TestRingAxioms:
     @given(polys, polys, polys)
     def test_addition_associative_commutative(self, p: LaurentPoly, q: LaurentPoly, r: LaurentPoly) -> None:

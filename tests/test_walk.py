@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -31,7 +33,17 @@ from vlinkpoly import (
 from vlinkpoly import thistle
 from vlinkpoly.diagram import _splice_links
 from vlinkpoly.ribbon import _band_links
-from vlinkpoly.thistle import PerStateRow, PerStateRows, _column, _fused_counts, _fused_levels, _terms_agree
+from vlinkpoly.cli import _mismatch_report
+from vlinkpoly.thistle import (
+    MISMATCH_LIST_LIMIT,
+    PerStateRow,
+    PerStateRows,
+    VerificationReport,
+    _column,
+    _fused_counts,
+    _fused_levels,
+    _terms_agree,
+)
 from vlinkpoly.walk import RollbackUnionFind, walk, walk_prefixes
 
 
@@ -253,6 +265,90 @@ class TestRowContract:
         assert [row.term_ok for row in rows] == [i not in (2, 5) for i in range(32)]
         assert [rows[i].term_ok for i in (-30, -27, 2, 5)] == [False] * 4
         assert rows.mismatches == (2, 5)
+
+
+class TestLazyRows:
+    """A row holds only term_ok until another field is read."""
+
+    def test_a_row_read_only_for_term_ok_acts_as_a_full_row(self) -> None:
+        d = random_diagram(6, 3)
+        rows = verify_identity(d).per_state
+        expected = reference_rows(d)
+        same = (
+            lambda row: row,
+            hash,
+            repr,
+            dataclasses.replace,
+            lambda row: dataclasses.replace(row, term_ok=not row.term_ok),
+            pickle.dumps,
+            copy.deepcopy,
+        )
+        for index in (0, 17, 63):
+            full = rows[index]
+            assert full.stats == expected[index].stats
+            for read in same:
+                lazy = rows[index]
+                assert lazy.term_ok == full.term_ok
+                assert "_source" in vars(lazy)
+                assert read(lazy) == read(full)
+                assert "_source" not in vars(lazy)
+                assert lazy == expected[index] and hash(lazy) == hash(expected[index])
+
+    def test_each_field_read_first_equals_the_reference(self) -> None:
+        names = ("state", "delta", "included", "stats", "term_ok")
+        for d in edge_shape_diagrams()[:24]:
+            expected = reference_rows(d)
+            rows = verify_identity(d).per_state
+            forwards = list(range(len(rows)))
+            for order in (forwards, forwards[::-1]):
+                for name in names:
+                    got = [getattr(rows[i], name) for i in order]
+                    assert got == [getattr(expected[i], name) for i in order], (d, name)
+
+    def test_no_failure_allocates_no_bits(self) -> None:
+        rows = verify_identity(random_diagram(9, 1)).per_state
+        assert rows.mismatches.bits is None and not rows.mismatches and rows.mismatches == ()
+
+
+@pytest.fixture
+def all_failing(monkeypatch: pytest.MonkeyPatch) -> VirtualLinkDiagram:
+    """random_diagram(12, 0) with one negative edge bit flipped, so every
+    state's 2s(F) is off by one and all 4096 states fail."""
+    true_masks = thistle._state_order_masks
+    monkeypatch.setattr(thistle, "_state_order_masks", lambda *a: (true_masks(*a)[0], true_masks(*a)[1] ^ 1))
+    return random_diagram(12, 0)
+
+
+class TestBoundedMismatches:
+    def test_first_k_listed_and_the_count_exact(self, all_failing: VirtualLinkDiagram) -> None:
+        report = verify_identity(all_failing)
+        mismatches = report.per_state.mismatches
+        assert len(mismatches) == 4096 and MISMATCH_LIST_LIMIT < 4096
+        assert mismatches.listed == list(range(MISMATCH_LIST_LIMIT))
+        # The indices past the listed ones come back from the bits.
+        assert mismatches == list(range(4096)) == _fused_counts(all_failing, from_diagram(all_failing))[3]
+        assert mismatches[MISMATCH_LIST_LIMIT] == MISMATCH_LIST_LIMIT and mismatches[-1] == 4095
+        assert mismatches.bits == b"\xff" * (4096 // 8)
+        assert not any(row.term_ok for row in report.per_state)
+        assert not any(report.per_state[i].term_ok for i in range(-1, -4097, -1))
+
+    def test_block_lists_k_states_then_the_count(self, all_failing: VirtualLinkDiagram) -> None:
+        lines = _mismatch_report(verify_identity(all_failing))
+        assert lines[0] == "MISMATCH" and len(lines) == 3 + MISMATCH_LIST_LIMIT + 1
+        assert all(line.startswith("state ") for line in lines[3:-1])
+        assert lines[3].startswith("state AAAAAAAAAAAA:")
+        assert lines[-2].startswith(f"state {State.from_index(12, MISMATCH_LIST_LIMIT - 1).word}:")
+        assert lines[-1] == f"4096 states differ; the first {MISMATCH_LIST_LIMIT} are listed"
+
+    def test_block_with_k_failures_has_no_count_line(self) -> None:
+        d = random_diagram(12, 0)
+        true = verify_identity(d)
+        for failing in (range(MISMATCH_LIST_LIMIT), range(MISMATCH_LIST_LIMIT + 1)):
+            rows = PerStateRows(d, from_diagram(d), true.per_state._columns, failing)
+            lines = _mismatch_report(VerificationReport(true.lhs, true.rhs, True, rows))
+            states = [line for line in lines if line.startswith("state ")]
+            assert len(states) == MISMATCH_LIST_LIMIT
+            assert len(lines) == 3 + MISMATCH_LIST_LIMIT + (len(failing) > MISMATCH_LIST_LIMIT)
 
 
 def plain_counts(d: VirtualLinkDiagram, graph) -> tuple:

@@ -15,9 +15,14 @@ from vlinkpoly import (
     PolyParseError,
     Ring,
     SubstitutionError,
+    jones,
     print_poly,
     substitute,
 )
+from vlinkpoly import polyring
+from vlinkpoly.polyring import _PACK_MIN_PAIRS, _dict_mul, _packed_mul, _tuple_mul
+
+from test_frontier import add_kink, diagram, torus_code
 
 R2 = Ring(("u", "w"))
 RH = Ring(("x", "y"), (2, 2))
@@ -163,6 +168,25 @@ class TestTextForm:
     def test_malformed_text_rejected(self, text: str) -> None:
         with pytest.raises(PolyParseError):
             R2.parse(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("u + $w", "unexpected character '$' at position 4"),
+            ("u\t+\n w ! ", "unexpected character '!' at position 7"),
+            ("u\xa0+\u2003w#", "unexpected character '#' at position 5"),
+            ("u\x85+\x00", "unexpected character '\\x00' at position 3"),
+            ("u ^ ( -1 / 2 ) + w\n\n,", "unexpected character ',' at position 20"),
+            ("2 u", "expected '+' or '-' between terms at position 2, got 'u'"),
+            (" \t\n", "empty polynomial text"),
+        ],
+    )
+    def test_parse_error_messages_and_positions(self, text: str, message: str) -> None:
+        # Every kind of whitespace is skipped; positions count from the
+        # start of the text, whitespace included.
+        with pytest.raises(PolyParseError) as exc:
+            R2.parse(text)
+        assert str(exc.value) == message
 
     def test_half_exponent_needs_granularity(self) -> None:
         assert RH.parse("x^(1/2)") == RH.monomial(1, {"x": Fraction(1, 2)})
@@ -385,3 +409,171 @@ class TestSubstitutionHomomorphism:
         images = {"u": img_u, "w": img_w}
         assert substitute(p + q, images) == substitute(p, images) + substitute(q, images)
         assert substitute(p * q, images) == substitute(p, images) * substitute(q, images)
+
+
+# Term dicts of width 1-3, around a base that is 0, negative or past 2**64,
+# with any coefficient (0 too: substitute multiplies dicts whose entries
+# have cancelled). Up to 24 terms a side puts len(p) * len(q) on both
+# sides of _PACK_MIN_PAIRS.
+BASES = st.sampled_from((0, -7, 2**64, -(2**64) - 3, 2**70 + 1))
+
+
+@st.composite
+def term_dict_pairs(draw: st.DrawFn) -> tuple[dict, dict]:
+    width = draw(st.integers(1, 3))
+    pair = []
+    for _ in range(2):
+        bases = draw(st.tuples(*[BASES] * width))
+        spread = draw(st.sampled_from((1, 3, 40)))
+        units = st.tuples(*[st.integers(b - spread, b + spread) for b in bases])
+        pair.append(draw(st.dictionaries(units, st.integers(-3, 3), max_size=24)))
+    return pair[0], pair[1]
+
+
+class TestPackedProducts:
+    """_packed_mul against the tuple loop it replaces for large products."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(term_dict_pairs())
+    def test_equals_the_tuple_loop(self, pair: tuple[dict, dict]) -> None:
+        p, q = pair
+        expected = _tuple_mul(p, q)
+        assert _packed_mul(p, q) == expected
+        assert _dict_mul(p, q) == expected
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_fields_at_both_ends_of_the_sum_range(self, width: int) -> None:
+        # The products reach both ends of every field's range [0, span],
+        # and span needs every bit of its field.
+        p = {tuple(u if i == j else 0 for j in range(width)): 1 for i in range(width) for u in (-5, 3)}
+        q = {tuple(u if i == j else 0 for j in range(width)): 1 for i in range(width) for u in (-2**64, 2**64 + 8)}
+        assert _packed_mul(p, q) == _tuple_mul(p, q)
+
+    def test_empty_operands(self) -> None:
+        p = {(1, 2): 3}
+        assert _packed_mul({}, p) == _packed_mul(p, {}) == _packed_mul({}, {}) == {}
+        assert R2.zero() * R2.parse("u + w") == R2.zero()
+
+    def test_products_that_cancel_to_zero(self) -> None:
+        # (1 - x) * (1 + x + ... + x^199) = 1 - x^200, from 400 term pairs.
+        x = Ring(("x",))
+        p = {(0,): 1, (1,): -1}
+        q = {(k,): 1 for k in range(200)}
+        product = _dict_mul(p, q)
+        assert product == _tuple_mul(p, q)
+        assert {u for u, c in product.items() if c} == {(0,), (200,)}
+        assert x.from_terms(p.items()) * x.from_terms(q.items()) == x.parse("1 - x^200")
+        # Whole products that cancel: (u + w)(u - w) - (u^2 - w^2), past the threshold.
+        big = R2.from_terms(((i, j), 1) for i in range(12) for j in range(12))
+        assert big * (R2.parse("u + w") * R2.parse("u - w")) - big * R2.parse("u^2 - w^2") == R2.zero()
+
+    def test_small_products_keep_the_tuple_loop(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        calls = []
+        monkeypatch.setattr(polyring, "_packed_mul", lambda p, q: calls.append((p, q)) or _tuple_mul(p, q))
+        p = {(i,): 1 for i in range(8)}
+        q = {(i,): 1 for i in range(_PACK_MIN_PAIRS // 8 - 1)}
+        assert _dict_mul(p, q) == _tuple_mul(p, q)
+        assert calls == []
+        q[(-1,)] = 1
+        assert _dict_mul(p, q) == _tuple_mul(p, q)
+        assert calls == [(p, q)]
+
+    def test_jones_on_classical_codes_never_packs(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        def refuse(p: dict, q: dict) -> dict:
+            raise AssertionError(f"packed a {len(p)} x {len(q)} product")
+
+        expected = [jones(diagram(torus_code(15)))]
+        expected += [jones(diagram(add_kink(torus_code(14), kind, 3))) for kind in range(4)]
+        monkeypatch.setattr(polyring, "_packed_mul", refuse)
+        got = [jones(diagram(torus_code(15)))]
+        got += [jones(diagram(add_kink(torus_code(14), kind, 3))) for kind in range(4)]
+        assert got == expected
+
+
+# Images for the general loop: zero, one term with coefficient +-1 or 2, or
+# (drawn twice as often) two to four terms; sources with exponents in
+# [-2, 4], so some inputs fail.
+multi_term_images = (
+    st.lists(st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(1, 5)), min_size=2, max_size=4)
+    .map(TARGET.from_terms)
+    .filter(lambda img: len(img.terms) > 1)
+)
+general_images = st.one_of(
+    st.just(TARGET.zero()),
+    st.tuples(st.sampled_from((1, -1, 2)), st.integers(-3, 3), st.integers(-3, 3)).map(
+        lambda t: TARGET.from_terms([((t[1], t[2]), t[0])])
+    ),
+    multi_term_images,
+    multi_term_images,
+)
+mixed_sources = st.lists(
+    st.tuples(st.tuples(st.integers(-2, 4), st.integers(-2, 4)), coeffs), max_size=10
+).map(R2.from_terms)
+
+
+def power(img: LaurentPoly, k: int) -> LaurentPoly:
+    """img ** k, where k < 0 only for a monomial image with coefficient +-1."""
+    if k >= 0:
+        return img**k
+    ((units, c),) = img.terms
+    return TARGET.from_terms([(tuple(-x for x in units), c)]) ** -k
+
+
+class TestSubstitutePowerCache:
+    """The general loop reuses img ** k across the terms of one call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_sources, general_images, general_images)
+    def test_matches_per_term_powers_and_errors(self, p: LaurentPoly, u: LaurentPoly, w: LaurentPoly) -> None:
+        images = {"u": u, "w": w}
+        # One call per term: no power is reused across terms, and the
+        # first term that cannot map raises the error of the whole call.
+        per_term = TARGET.zero()
+        for term in p.terms:
+            alone = outcome(substitute, R2.from_terms([term]), images)
+            if isinstance(alone, str):
+                per_term = alone
+                break
+            per_term = per_term + alone
+        assert outcome(substitute, p, images) == per_term
+        if isinstance(per_term, LaurentPoly):
+            # Independently: each term as c * u_img ** a * w_img ** b.
+            expected = TARGET.zero()
+            for (a, b), c in p.terms:
+                if a > 0 and not u:  # vanishes before w's exponent is read
+                    continue
+                expected = expected + c * power(u, a) * power(w, b)
+            assert per_term == expected
+
+    def test_shared_exponent_distinct_images(self) -> None:
+        # u^2 and w^2 share k = 2, with different images.
+        p = R2.parse("u^2*w^2 + u^2 + w^2 + 3*u*w^2")
+        images = {"u": TARGET.parse("A + B"), "w": TARGET.parse("A - 2*B^(-1)")}
+        u, w = images["u"], images["w"]
+        assert substitute(p, images) == u**2 * w**2 + u**2 + w**2 + 3 * u * w**2
+
+    def test_zero_image_with_positive_exponent_vanishes(self) -> None:
+        p = R2.parse("u^3*w + 2*w^2 + u^3")
+        images = {"u": TARGET.zero(), "w": TARGET.parse("A + B")}
+        assert substitute(p, images) == 2 * TARGET.parse("A + B") ** 2
+
+    @pytest.mark.parametrize(
+        "terms, images, message",
+        [
+            (
+                [((0, 2), 1), ((1, -1), 1)], {"u": "A", "w": "A + B"},
+                "non-monomial image for 'w' needs a nonnegative integer exponent, got -1",
+            ),
+            (
+                [((1, 0), 1), ((2, -1), 1)], {"u": "A + B", "w": "0"},
+                "zero image for 'w' raised to nonpositive exponent -1",
+            ),
+        ],
+    )
+    def test_a_later_term_that_cannot_map_raises_todays_error(self, terms, images, message) -> None:
+        p = R2.from_terms(terms)
+        assert p.terms == tuple(terms)  # a power is cached before the failing term
+        images = {name: TARGET.parse(text) for name, text in images.items()}
+        with pytest.raises(SubstitutionError) as exc:
+            substitute(p, images)
+        assert str(exc.value) == message
